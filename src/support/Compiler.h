@@ -5,6 +5,8 @@
 /// Fast-path locking code is extremely sensitive to inlining decisions, so
 /// the thin-lock fast paths are annotated explicitly (the paper's §3.5
 /// "Inline" vs "FnCall" experiment is built directly on these attributes).
+/// TL_PREFETCH(Addr, Rw) is a cache-prefetch hint (Rw: 0 = read, 1 = write
+/// intent); it never faults and is a no-op where the builtin is missing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,11 +18,20 @@
 #define TL_NOINLINE __attribute__((noinline))
 #define TL_LIKELY(X) __builtin_expect(!!(X), 1)
 #define TL_UNLIKELY(X) __builtin_expect(!!(X), 0)
+// The empty asm pins the hint: without it GCC deletes a loop whose only
+// effect is prefetching (and a call to a function that only prefetches).
+#define TL_PREFETCH(Addr, Rw)                                                  \
+  do {                                                                         \
+    const void *TlPrefetchAddr = (Addr);                                       \
+    __builtin_prefetch(TlPrefetchAddr, (Rw), 3);                               \
+    __asm__ volatile("" : : "r"(TlPrefetchAddr));                              \
+  } while (0)
 #else
 #define TL_ALWAYS_INLINE inline
 #define TL_NOINLINE
 #define TL_LIKELY(X) (X)
 #define TL_UNLIKELY(X) (X)
+#define TL_PREFETCH(Addr, Rw) ((void)(Addr), (void)(Rw))
 #endif
 
 namespace thinlocks {

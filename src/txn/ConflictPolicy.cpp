@@ -2,6 +2,7 @@
 
 #include "txn/ConflictPolicy.h"
 
+#include "support/Compiler.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -98,6 +99,15 @@ void drawTxnAccess(const load::ZipfSampler &Popularity, SplitMix64 &Rng,
     Access.Reads.push_back(drawDistinct());
 }
 
+void prefetchAccessSet(const TxnTable &Table, const TxnAccess &Access) {
+  for (size_t Idx : Access.Writes) {
+    TL_PREFETCH(Table.Objects[Idx], 1);
+    TL_PREFETCH(&Table.Records[Idx], 1);
+  }
+  for (size_t Idx : Access.Reads)
+    TL_PREFETCH(&Table.Records[Idx], 0);
+}
+
 bool occLockWriteSet(const TxnTable &Table, const ThreadContext &Thread,
                      const std::vector<size_t> &SortedWrites,
                      std::vector<size_t> &Acquired, uint32_t Spins) {
@@ -118,8 +128,9 @@ bool occLockWriteSet(const TxnTable &Table, const ThreadContext &Thread,
     // validator that read this object must see the odd mark and abort,
     // and lock-free seqlock readers retry past it.  We hold the
     // monitor, so no concurrent writer races this word.
-    uint64_t Version = Table.Versions[Idx].load(std::memory_order_relaxed);
-    Table.Versions[Idx].store(Version | 1, std::memory_order_release);
+    std::atomic<uint64_t> &Version = Table.Records[Idx].Version;
+    Version.store(Version.load(std::memory_order_relaxed) | 1,
+                  std::memory_order_release);
   }
   return true;
 }
@@ -130,9 +141,9 @@ void occAbortWriteSet(const TxnTable &Table, const ThreadContext &Thread,
     size_t Idx = Acquired[I];
     // Restore the pre-window even version before the monitor is
     // released; nothing was published, so readers see the old snapshot.
-    uint64_t Version = Table.Versions[Idx].load(std::memory_order_relaxed);
-    Table.Versions[Idx].store(Version & ~uint64_t(1),
-                              std::memory_order_release);
+    std::atomic<uint64_t> &Version = Table.Records[Idx].Version;
+    Version.store(Version.load(std::memory_order_relaxed) & ~uint64_t(1),
+                  std::memory_order_release);
     Table.Sync->unlock(Table.Objects[Idx], Thread);
   }
   Acquired.clear();
@@ -148,7 +159,8 @@ bool occValidateReadSet(const TxnTable &Table, const std::vector<size_t> &Reads,
   // even with the marks in place.
   std::atomic_thread_fence(std::memory_order_seq_cst);
   for (size_t I = 0; I < Reads.size(); ++I) {
-    uint64_t Now = Table.Versions[Reads[I]].load(std::memory_order_acquire);
+    uint64_t Now =
+        Table.Records[Reads[I]].Version.load(std::memory_order_acquire);
     // Snapshots are always even, so `Now != snapshot` catches both a
     // moved version (conflicting commit) and an odd one (a concurrent
     // transaction's commit lock).
@@ -167,11 +179,12 @@ namespace {
 /// no-op when the OCC commit window already marked it); release
 /// ordering makes the final even version carry the value.
 void applyWrite(const TxnTable &Table, size_t Idx, TxnScratch &Scratch) {
-  uint64_t Version = Table.Versions[Idx].load(std::memory_order_relaxed);
+  TxnRecord &Record = Table.Records[Idx];
+  uint64_t Version = Record.Version.load(std::memory_order_relaxed);
   uint64_t Next = ((Version >> 1) + 1) << 1;
-  Table.Versions[Idx].store(Version | 1, std::memory_order_release);
-  Table.Values[Idx].store(Next, std::memory_order_release);
-  Table.Versions[Idx].store(Next, std::memory_order_release);
+  Record.Version.store(Version | 1, std::memory_order_release);
+  Record.Value.store(Next, std::memory_order_release);
+  Record.Version.store(Next, std::memory_order_release);
   ++Scratch.WritesApplied;
 }
 
@@ -179,8 +192,9 @@ void applyWrite(const TxnTable &Table, size_t Idx, TxnScratch &Scratch) {
 /// must be quiescent (even) and the value must mirror it.  Any torn or
 /// lost update shows up here.
 void checkHeldRead(const TxnTable &Table, size_t Idx, TxnScratch &Scratch) {
-  uint64_t Version = Table.Versions[Idx].load(std::memory_order_acquire);
-  uint64_t Value = Table.Values[Idx].load(std::memory_order_acquire);
+  const TxnRecord &Record = Table.Records[Idx];
+  uint64_t Version = Record.Version.load(std::memory_order_acquire);
+  uint64_t Value = Record.Value.load(std::memory_order_acquire);
   if ((Version & 1) != 0 || Value != Version)
     ++Scratch.ConsistencyViolations;
 }
@@ -245,6 +259,7 @@ public:
 
   TxnStatus execute(const ThreadContext &Thread, uint64_t,
                     const TxnAccess &Access, TxnScratch &Scratch) override {
+    prefetchAccessSet(Table, Access);
     Scratch.Acquired.clear();
     // Draw order, writes first — deliberately unsorted so conflicting
     // transactions collide in both directions; NoWait never blocks, so
@@ -309,6 +324,7 @@ public:
 
   TxnStatus execute(const ThreadContext &Thread, uint64_t Ts,
                     const TxnAccess &Access, TxnScratch &Scratch) override {
+    prefetchAccessSet(Table, Access);
     Scratch.Acquired.clear();
     for (const std::vector<size_t> *Set : {&Access.Writes, &Access.Reads}) {
       for (size_t Idx : *Set) {
@@ -337,6 +353,7 @@ public:
 
   TxnStatus execute(const ThreadContext &Thread, uint64_t,
                     const TxnAccess &Access, TxnScratch &Scratch) override {
+    prefetchAccessSet(Table, Access);
     Scratch.Acquired.clear();
     Scratch.ReadVersions.clear();
 
@@ -345,13 +362,14 @@ public:
     // acquire on the value load is what makes the second version read
     // conclusive (a newer writer's odd mark is visible by then).
     for (size_t Idx : Access.Reads) {
+      const TxnRecord &Record = Table.Records[Idx];
       bool Stable = false;
       for (uint32_t Attempt = 0; Attempt < Tuning.MaxReadRetries; ++Attempt) {
-        uint64_t Before = Table.Versions[Idx].load(std::memory_order_acquire);
+        uint64_t Before = Record.Version.load(std::memory_order_acquire);
         if ((Before & 1) != 0)
           continue;
-        uint64_t Value = Table.Values[Idx].load(std::memory_order_acquire);
-        uint64_t After = Table.Versions[Idx].load(std::memory_order_acquire);
+        uint64_t Value = Record.Value.load(std::memory_order_acquire);
+        uint64_t After = Record.Version.load(std::memory_order_acquire);
         if (Before != After)
           continue;
         if (Value != Before)

@@ -89,15 +89,27 @@ enum class TxnStatus : uint8_t {
 const char *txnStatusName(TxnStatus Status);
 inline bool isAbort(TxnStatus Status) { return Status != TxnStatus::Committed; }
 
+/// One object's OCC state, co-located so a read or a publish touches a
+/// single cache line (the paper's locality argument applied to the
+/// version word: keep what is synchronized on next to what it guards).
+/// Version follows the seqlock-style protocol described in the file
+/// header; Value mirrors it at publish time.  16-byte size and
+/// alignment keep every record inside one 64-byte line.
+struct alignas(16) TxnRecord {
+  std::atomic<uint64_t> Version{0};
+  std::atomic<uint64_t> Value{0};
+};
+static_assert(sizeof(TxnRecord) == 16 && alignof(TxnRecord) == 16,
+              "a TxnRecord must never straddle a cache line");
+
 /// The shared substrate every transaction runs over.  Owned by the
-/// engine; policies hold a const view.  Versions/Values follow the
-/// seqlock-style protocol described in the file header; OwnerTs is the
-/// wait-die side channel (holder's timestamp, 0 = unstamped/free).
+/// engine; policies hold a const view.  OwnerTs is the wait-die side
+/// channel (holder's timestamp, 0 = unstamped/free), kept apart from
+/// the records because only WaitDie touches it.
 struct TxnTable {
   SyncBackend *Sync = nullptr;
   Object *const *Objects = nullptr;
-  std::atomic<uint64_t> *Versions = nullptr;
-  std::atomic<uint64_t> *Values = nullptr;
+  TxnRecord *Records = nullptr;
   std::atomic<uint64_t> *OwnerTs = nullptr;
   size_t Size = 0;
 };
@@ -169,6 +181,13 @@ inline WaitDieDecision waitDieDecide(uint64_t MyTs, uint64_t HolderTs) {
 void drawTxnAccess(const load::ZipfSampler &Popularity, SplitMix64 &Rng,
                    uint32_t ReadTarget, uint32_t WriteTarget,
                    TxnAccess &Access);
+
+/// Issues prefetches for everything \p Access will touch so the
+/// transaction's independent cache misses overlap instead of running
+/// one after another: each write's object header (the lock word) and
+/// record with write intent, each read's record for reading.  A pure
+/// hint — it changes no state, and an empty set is a no-op.
+void prefetchAccessSet(const TxnTable &Table, const TxnAccess &Access);
 
 //===----------------------------------------------------------------------===//
 // OCC commit-window primitives (Silo-style).  Free functions so the

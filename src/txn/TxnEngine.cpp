@@ -63,14 +63,12 @@ TxnEngine::TxnEngine(SyncBackend &Sync, Heap &TheHeap,
     Objects.push_back(TheHeap.allocate(Class));
   // Value-initialized: every version/value/stamp starts at 0 ("version
   // 0, unstamped"), satisfying Value == Version from the first read.
-  Versions = std::make_unique<std::atomic<uint64_t>[]>(Universe);
-  Values = std::make_unique<std::atomic<uint64_t>[]>(Universe);
+  Records = std::make_unique<TxnRecord[]>(Universe);
   OwnerStamps = std::make_unique<std::atomic<uint64_t>[]>(Universe);
 
   Table.Sync = &Sync;
   Table.Objects = Objects.data();
-  Table.Versions = Versions.get();
-  Table.Values = Values.get();
+  Table.Records = Records.get();
   Table.OwnerTs = OwnerStamps.get();
   Table.Size = Universe;
   Policy = makeConflictPolicy(Kind, Table, Params.Tuning);
@@ -130,7 +128,7 @@ TxnStats TxnEngine::run() {
 uint64_t TxnEngine::versionSum() const {
   uint64_t Sum = 0;
   for (size_t I = 0; I < Table.Size; ++I)
-    Sum += Versions[I].load(std::memory_order_acquire) >> 1;
+    Sum += Records[I].Version.load(std::memory_order_acquire) >> 1;
   return Sum;
 }
 

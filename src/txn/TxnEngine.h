@@ -10,8 +10,8 @@
 /// conflicts onto a few monitors (inflation/morphing territory) while
 /// the long tail keeps millions of objects on the thin fast path.
 ///
-/// The engine owns the per-object side arrays (versions, mirrored
-/// values, wait-die stamps) and the accounting; the protocol and heap
+/// The engine owns the per-object side arrays (version+value records,
+/// wait-die stamps) and the accounting; the protocol and heap
 /// substrate are either borrowed (TxnEngine, so tests can inject a
 /// ThinLock handle and audit its MonitorTable) or owned per run
 /// (runTxnScenario, the bench entry point, which builds the protocol by
@@ -113,8 +113,7 @@ public:
 private:
   TxnParams Params;
   std::vector<Object *> Objects;
-  std::unique_ptr<std::atomic<uint64_t>[]> Versions;
-  std::unique_ptr<std::atomic<uint64_t>[]> Values;
+  std::unique_ptr<TxnRecord[]> Records;
   std::unique_ptr<std::atomic<uint64_t>[]> OwnerStamps;
   TxnTable Table;
   ThreadRegistry &Registry;

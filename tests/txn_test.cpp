@@ -4,7 +4,8 @@
 // (NoWait / WaitDie / Validated), the access-set draw, the engine's
 // accounting and serializability spot-checks, wait-die ordering
 // invariants, the thin-lock Deadlock verdict as a precise abort signal,
-// and the no-lost-locks contract on every abort path (ownership-audited,
+// the version+value record layout and the access-set prefetch, and the
+// no-lost-locks contract on every abort path (ownership-audited,
 // under failpoints when compiled in).  Suite names all carry "Txn" so
 // the CI TSan job's regex picks the whole file up.
 //
@@ -21,6 +22,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <string>
 #include <thread>
 
 using namespace thinlocks;
@@ -361,7 +364,7 @@ TEST_F(TxnEngineTest, TxnOccCommitLockMarksVersionsAndAbortRestoresThem) {
   ASSERT_EQ(Acquired.size(), 2u);
   for (size_t Idx : Writes) {
     EXPECT_TRUE(sync().holdsLock(Table.Objects[Idx], main()));
-    EXPECT_EQ(Table.Versions[Idx].load() & 1, 1u)
+    EXPECT_EQ(Table.Records[Idx].Version.load() & 1, 1u)
         << "commit lock not observable in the version word";
   }
 
@@ -376,7 +379,7 @@ TEST_F(TxnEngineTest, TxnOccCommitLockMarksVersionsAndAbortRestoresThem) {
   EXPECT_TRUE(Acquired.empty());
   for (size_t Idx : Writes) {
     EXPECT_FALSE(sync().holdsLock(Table.Objects[Idx], main()));
-    EXPECT_EQ(Table.Versions[Idx].load(), 0u)
+    EXPECT_EQ(Table.Records[Idx].Version.load(), 0u)
         << "abort must restore the pre-window version";
   }
   // With the window gone the old snapshot validates again, and no
@@ -428,11 +431,11 @@ TEST_F(TxnEngineTest, TxnOccCrossingCommitWindowsCannotBothCommit) {
       return;
     }
     // Validated: publish (what applyWrite does) and release.
+    TxnRecord &Record = Table.Records[WriteIdx];
     uint64_t Next =
-        ((Table.Versions[WriteIdx].load(std::memory_order_relaxed) >> 1) + 1)
-        << 1;
-    Table.Values[WriteIdx].store(Next, std::memory_order_release);
-    Table.Versions[WriteIdx].store(Next, std::memory_order_release);
+        ((Record.Version.load(std::memory_order_relaxed) >> 1) + 1) << 1;
+    Record.Value.store(Next, std::memory_order_release);
+    Record.Version.store(Next, std::memory_order_release);
     sync().unlock(Table.Objects[WriteIdx], Me);
     DidCommit = true;
   };
@@ -447,9 +450,81 @@ TEST_F(TxnEngineTest, TxnOccCrossingCommitWindowsCannotBothCommit) {
       << "write skew: both crossing commit windows committed";
   // Whatever the outcome, the windows closed cleanly: versions even
   // and the version sum accounts exactly for the committed writes.
-  EXPECT_EQ(Table.Versions[X].load() & 1, 0u);
-  EXPECT_EQ(Table.Versions[Y].load() & 1, 0u);
+  EXPECT_EQ(Table.Records[X].Version.load() & 1, 0u);
+  EXPECT_EQ(Table.Records[Y].Version.load() & 1, 0u);
   EXPECT_EQ(Engine.versionSum(), Commits);
+}
+
+//===----------------------------------------------------------------------===//
+// Record layout and the access-set prefetch.  Version and value share
+// one 16-byte record so a read or a publish touches one cache line; the
+// prefetch is a pure hint and must be invisible on degenerate inputs.
+//===----------------------------------------------------------------------===//
+
+TEST_F(TxnEngineTest, TxnRecordLayout) {
+  static_assert(sizeof(TxnRecord) == 16);
+  static_assert(alignof(TxnRecord) == 16);
+  static_assert(64 % sizeof(TxnRecord) == 0,
+                "aligned records tile a cache line exactly");
+
+  TxnParams Params;
+  Params.HeapObjects = 256;
+  Params.Threads = 3;
+  Params.TxnsPerThread = 1500;
+  Params.Tuning.HoldNanos = 2'000;
+  TxnEngine Engine(sync(), TheHeap, Registry, ConflictPolicyKind::Validated,
+                   Params);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(Engine.table().Records) % 16, 0u)
+      << "table base is not 16-aligned, so records straddle lines";
+
+  TxnStats Stats = Engine.run();
+  EXPECT_TRUE(Stats.identityHolds());
+  EXPECT_GT(Stats.WritesApplied, 0u);
+  EXPECT_EQ(Stats.ConsistencyViolations, 0u);
+  EXPECT_EQ(Engine.versionSum(), Stats.WritesApplied)
+      << "records lost or invented a write";
+}
+
+TEST_F(TxnEngineTest, TxnPrefetchDegenerateInputsKeepEveryInvariant) {
+  struct Shape {
+    const char *Name;
+    size_t HeapObjects;
+    uint32_t ReadSetSize;
+  };
+  // An empty read set (the prefetch walks writes only) and the
+  // single-object universe (one blind write, every worker on the same
+  // header and record).
+  for (const Shape &S : {Shape{"empty-read-set", 64, 0},
+                         Shape{"single-object", 1, 4}}) {
+    for (ConflictPolicyKind Kind : allConflictPolicies()) {
+      TxnParams Params;
+      Params.HeapObjects = S.HeapObjects;
+      Params.Threads = 3;
+      Params.TxnsPerThread = 1000;
+      Params.ReadSetSize = S.ReadSetSize;
+      Params.WriteSetSize = 2;
+      Params.Tuning.WaitNanos = 500'000;
+      Params.AuditEveryTxn = true;
+      TxnEngine Engine(sync(), TheHeap, Registry, Kind, Params);
+
+      // The hint alone changes nothing: no lock taken, no record moved.
+      TxnAccess Empty;
+      prefetchAccessSet(Engine.table(), Empty);
+      TxnAccess OneWrite;
+      OneWrite.Writes = {0};
+      prefetchAccessSet(Engine.table(), OneWrite);
+      EXPECT_FALSE(sync().holdsLock(Engine.table().Objects[0], main()));
+      EXPECT_EQ(Engine.versionSum(), 0u);
+
+      TxnStats Stats = Engine.run();
+      SCOPED_TRACE(std::string(S.Name) + "/" + conflictPolicyName(Kind));
+      EXPECT_TRUE(Stats.identityHolds());
+      EXPECT_GT(Stats.Committed, 0u);
+      EXPECT_EQ(Stats.LeakedLocks, 0u);
+      EXPECT_EQ(Stats.ConsistencyViolations, 0u);
+      EXPECT_EQ(Engine.versionSum(), Stats.WritesApplied);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
