@@ -62,6 +62,13 @@ constexpr TimedLockStatus degradeToTimedOut(bool Acquired) {
 /// acquisition from *any* protocol, so a protocol that omits them is
 /// rejected at compile time (see the negative check in
 /// tests/conformance_test.cpp).
+///
+/// Timeouts are nanoseconds.  tryLockFor with a non-positive timeout
+/// makes one attempt on every protocol — it never means "forever" — and
+/// a timeout too large to add to the clock saturates to "no deadline"
+/// (support/Timer.h deadlineAfter) instead of wrapping into the past.
+/// wait() keeps Java's convention: a negative timeout waits until
+/// notified.
 template <typename P>
 concept SyncProtocol = requires(P Protocol, Object *Obj,
                                 const ThreadContext &Thread,

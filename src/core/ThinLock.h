@@ -54,9 +54,11 @@
 #include "support/FailPoint.h"
 #include "support/Fatal.h"
 #include "support/SpinWait.h"
+#include "support/Timer.h"
 #include "threads/ThreadContext.h"
 #include "threads/ThreadRegistry.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
@@ -92,15 +94,14 @@ namespace thinlocks {
 enum class DeflationPolicy : uint8_t { Never, WhenQuiescent };
 
 /// Tuning for the contention escalation ladder (pause -> yield -> park;
-/// see SpinPolicy) and the deadlock watchdog layered on top of it.
+/// see SpinPolicy) and the deadlock watchdog a blocked lock() runs on
+/// top of it.  (tryLockFor never runs the watchdog: it checks for a
+/// cycle once, at its deadline.)
 struct ContentionOptions {
   /// The spin/yield/park ladder used while contending on a thin word.
-  /// Every slow path (lockSlow, tryLock's fat-Retired retry, tryLockFor)
-  /// escalates on this one policy.
+  /// Both slow paths (the contended-acquire loop and tryLock's
+  /// fat-Retired retry) escalate on this one policy.
   SpinPolicy Spin = DefaultSpinPolicy;
-  /// Run owner-graph cycle walks from blocked lock() calls.  (tryLockFor
-  /// always checks at its deadline regardless of this flag.)
-  bool DeadlockWatchdog = true;
   /// On a confirmed cycle in lock(): terminate with the formatted report
   /// (true), or record it in LockStats and keep waiting (false — for
   /// systems that prefer a hung thread to a dead process).
@@ -109,7 +110,7 @@ struct ContentionOptions {
   /// default 2ms park cap, 512 parks is roughly one second blocked.
   uint64_t WatchdogParkPeriod = 512;
   /// Fat-lock contention: the bounded wait slice, after which the
-  /// watchdog walks the graph and re-queues.  Nanoseconds.
+  /// watchdog walks the graph and re-queues.  Nanoseconds; positive.
   int64_t WatchdogNanos = 1'000'000'000;
 };
 
@@ -121,12 +122,9 @@ public:
   /// \param Stats optional instrumentation sink; null disables recording.
   /// \param Deflation whether fat locks retire at quiescence (the paper's
   /// discipline is Never).
-  /// \param Options contention-ladder and deadlock-watchdog tuning.
   explicit ThinLockImpl(MonitorTable &Monitors, LockStats *Stats = nullptr,
-                        DeflationPolicy Deflation = DeflationPolicy::Never,
-                        ContentionOptions Options = ContentionOptions())
-      : Monitors(Monitors), Stats(Stats), Deflation(Deflation),
-        Options(Options) {}
+                        DeflationPolicy Deflation = DeflationPolicy::Never)
+      : Monitors(Monitors), Stats(Stats), Deflation(Deflation) {}
 
   ThinLockImpl(const ThinLockImpl &) = delete;
   ThinLockImpl &operator=(const ThinLockImpl &) = delete;
@@ -134,11 +132,11 @@ public:
   static const char *protocolName() { return Policy::Name; }
 
   /// Wires the adaptive policy engine's decision store into the SLOW
-  /// paths (lockSlow / tryLockFor spin-class selection, eager inflation,
-  /// the KeepFat deflation veto).  The fast paths never consult it —
-  /// the invariant tools/lint/fastpath_guard.py proves.  Null (the
-  /// default) restores purely static behavior.  \p Store must outlive
-  /// this manager's last use.
+  /// paths (the contended-acquire loop's spin-class selection, eager
+  /// inflation, the KeepFat deflation veto).  The fast paths never
+  /// consult it — the invariant tools/lint/fastpath_guard.py proves.
+  /// Null (the default) restores purely static behavior.  \p Store must
+  /// outlive this manager's last use.
   void setPolicyStore(const policy::PolicyStore *Store) { Policies = Store; }
 
   /// Acquires \p Obj's monitor for \p Thread (recursively if already
@@ -309,24 +307,10 @@ public:
         }
         return false;
       }
-      if (lockword::canNestInline(Value, Shifted)) {
-        Word.store(Value + lockword::CountUnit, std::memory_order_relaxed);
-        if (Stats)
-          Stats->recordAcquire(lockword::countOf(Value) + 2);
-        return true;
-      }
       if (lockword::isThinOwnedBy(Value, Shifted)) {
-        // Ours with the count field saturated at 255 (256 holds): the
-        // 257th recursive acquisition must succeed by inflating, exactly
-        // as lock() does — recursion can never fail a tryLock.  (The
-        // paper's count-overflow inflation cause, §2.3.)
-        uint32_t Count = lockword::countOf(Value);
-        inflateOwned(Obj, Thread, Value, Count + 2,
-                     obs::InflateCause::Overflow);
-        if (Stats) {
-          Stats->recordOverflowInflation();
-          Stats->recordAcquire(Count + 2);
-        }
+        // Recursion can never fail a tryLock: even the count-saturated
+        // 257th hold succeeds, by inflating exactly as lock() does.
+        acquireOwned(Obj, Thread, Value);
         return true;
       }
       return false;
@@ -338,7 +322,7 @@ public:
   /// double-confirmed cycle yields TimedLockStatus::Deadlock (and fills
   /// \p Report when non-null) instead of a bare timeout, letting callers
   /// break cycles deliberately rather than guessing.  A non-positive
-  /// timeout degenerates to tryLock() plus the deadlock check.
+  /// timeout makes one attempt: tryLock() plus the deadlock check.
   TimedLockStatus tryLockFor(Object *Obj, const ThreadContext &Thread,
                              int64_t TimeoutNanos,
                              DeadlockReport *Report = nullptr) {
@@ -348,100 +332,13 @@ public:
       maybeEagerInflate(Obj, Thread);
       return TimedLockStatus::Acquired;
     }
-
-    const auto Deadline = std::chrono::steady_clock::now() +
-                          std::chrono::nanoseconds(TimeoutNanos);
-    std::atomic<uint32_t> &Word = Obj->lockWord();
-    uint32_t Shifted = Thread.shiftedIndex();
-    const policy::LockPolicy Pol = policyFor(Obj);
-    SpinWait Spinner(policy::spinPolicyFor(Pol.Spin, Options.Spin));
-    BlockedOnScope Blocked(Thread, Obj);
-    bool SawContention = false;
-    const bool Tracing = obs::tracingEnabled();
-    const uint64_t TraceT0 = Tracing ? obs::monotonicNanos() : 0;
-    const uint64_t TraceParks =
-        Tracing && Thread.parker() ? Thread.parker()->blockedParkCount() : 0;
-    for (;;) {
-      uint32_t Value = Word.load(std::memory_order_acquire);
-
-      if (lockword::isFat(Value)) {
-        FatLock *Fat = Monitors.resolve(Value);
-        int64_t Remaining = std::chrono::duration_cast<
-                                std::chrono::nanoseconds>(
-                                Deadline - std::chrono::steady_clock::now())
-                                .count();
-        if (Remaining <= 0)
-          return deadlineExpired(Obj, Thread, Report);
-        switch (Fat->lockIfLiveFor(Thread, Remaining)) {
-        case FatLock::TimedResult::Acquired:
-          Policy::afterAcquireFence();
-          if (TL_UNLIKELY(Tracing))
-            recordContendedAcquire(Obj, Thread, TraceT0, TraceParks,
-                                   Fat->entryQueueLength());
-          if (Stats) {
-            Stats->recordFatPath();
-            Stats->recordAcquire(Fat->holdCount());
-            Stats->recordSpinIterations(Spinner.totalSpins());
-          }
-          return TimedLockStatus::Acquired;
-        case FatLock::TimedResult::Retired:
-          backoffOnWord(Obj, Thread, Spinner, Value, Deadline);
-          continue;
-        case FatLock::TimedResult::TimedOut:
-          return deadlineExpired(Obj, Thread, Report);
-        }
-      }
-
-      if (lockword::isThinOwnedBy(Value, Shifted)) {
-        uint32_t Count = lockword::countOf(Value);
-        if (Count < lockword::MaxCount) {
-          Word.store(Value + lockword::CountUnit,
-                     std::memory_order_relaxed);
-          if (Stats)
-            Stats->recordAcquire(Count + 2);
-          return TimedLockStatus::Acquired;
-        }
-        inflateOwned(Obj, Thread, Value, Count + 2,
-                     obs::InflateCause::Overflow);
-        if (Stats) {
-          Stats->recordOverflowInflation();
-          Stats->recordAcquire(Count + 2);
-        }
-        return TimedLockStatus::Acquired;
-      }
-
-      if (lockword::isUnlocked(Value)) {
-        uint32_t Old = Value & lockword::HeaderBitsMask;
-        if (Word.compare_exchange_weak(Old, Old | Shifted,
-                                       std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-          Policy::afterAcquireFence();
-          // §2.3.4 locality of contention, as in lockSlow(): only
-          // inflate when the bounded wait actually met a contender — or
-          // when the policy engine already knows this object re-inflates
-          // (EagerInflate skips the remainder of the thin dance).
-          if (SawContention || Pol.EagerInflate) {
-            inflateOwned(Obj, Thread, Old | Shifted, 1,
-                         obs::InflateCause::Contention);
-            if (TL_UNLIKELY(Tracing))
-              recordContendedAcquire(Obj, Thread, TraceT0, TraceParks, 0);
-            if (Stats)
-              Stats->recordContentionInflation();
-          }
-          if (Stats) {
-            Stats->recordAcquire(1);
-            Stats->recordSpinIterations(Spinner.totalSpins());
-          }
-          return TimedLockStatus::Acquired;
-        }
-        continue; // Lost a race; reevaluate the fresh value.
-      }
-
-      SawContention = true;
-      if (std::chrono::steady_clock::now() >= Deadline)
-        return deadlineExpired(Obj, Thread, Report);
-      backoffOnWord(Obj, Thread, Spinner, Value, Deadline);
-    }
+    // Even a saturated deadline stays a deadline: only lock() waits
+    // without bound, under the watchdog that may end the process.
+    const auto Deadline =
+        std::min(deadlineAfter(TimeoutNanos),
+                 Unbounded - std::chrono::steady_clock::duration(1));
+    return acquireContended(Obj, Thread, Deadline, /*SawContention=*/false,
+                            Report);
   }
 
   /// \returns true if \p Thread owns \p Obj's monitor.
@@ -645,10 +542,8 @@ private:
     uint64_t ParkNanos = Spinner.nextRound();
     if (ParkNanos == 0)
       return;
-    auto Deadline = std::chrono::steady_clock::now() +
-                    std::chrono::nanoseconds(ParkNanos);
-    if (Deadline > Clamp)
-      Deadline = Clamp;
+    const auto Deadline =
+        std::min(deadlineAfter(static_cast<int64_t>(ParkNanos)), Clamp);
     std::atomic<uint32_t> &Word = Obj->lockWord();
     const bool Tracing = obs::tracingEnabled();
     const uint64_t TraceT0 = Tracing ? obs::monotonicNanos() : 0;
@@ -711,7 +606,32 @@ private:
     return TimedLockStatus::TimedOut;
   }
 
+  /// lock()'s deadline: wait without bound, under the watchdog.
+  static constexpr std::chrono::steady_clock::time_point Unbounded =
+      std::chrono::steady_clock::time_point::max();
+
   TL_NOINLINE void lockSlow(Object *Obj, const ThreadContext &Thread) {
+    // The fast path's CAS lost to another holder (or the word is fat or
+    // count-saturated): an acquisition from here has met contention.
+    acquireContended(Obj, Thread, Unbounded, /*SawContention=*/true,
+                     /*Report=*/nullptr);
+  }
+
+  /// The one contended-acquisition loop, behind lockSlow() and
+  /// tryLockFor().  A \p Deadline of Unbounded is lock(): wait without
+  /// bound, walking the owner graph (watchdogCheck) every WatchdogNanos
+  /// fat-lock slice and every WatchdogParkPeriod parks on a thin word,
+  /// and never read the clock per iteration.  Any other deadline is
+  /// tryLockFor(): give up at the deadline and classify the failure
+  /// (deadlineExpired, filling \p Report) — never the watchdog, which may
+  /// terminate the process.  \p SawContention records that the
+  /// acquisition already met a contender, so acquiring the thin word
+  /// inflates it (§2.3.4); it turns true once a thin holder is seen.
+  TimedLockStatus
+  acquireContended(Object *Obj, const ThreadContext &Thread,
+                   std::chrono::steady_clock::time_point Deadline,
+                   bool SawContention, DeadlockReport *Report) {
+    const bool Bounded = Deadline != Unbounded;
     std::atomic<uint32_t> &Word = Obj->lockWord();
     uint32_t Shifted = Thread.shiftedIndex();
     // Adaptive spin class: contenders on an object the policy engine has
@@ -729,56 +649,44 @@ private:
 
       if (lockword::isFat(Value)) {
         FatLock *Fat = Monitors.resolve(Value);
-        if (Options.DeadlockWatchdog) {
-          // Bounded slices instead of an open-ended block, so the
-          // watchdog keeps running while queued on the fat lock.
-          FatLock::TimedResult Result =
-              Fat->lockIfLiveFor(Thread, Options.WatchdogNanos);
-          if (Result == FatLock::TimedResult::Retired) {
-            backoffOnWord(Obj, Thread, Spinner, Value);
-            continue;
+        // lock() queues in bounded slices so the watchdog keeps running
+        // while it waits on the fat lock.
+        int64_t Slice = Options.WatchdogNanos;
+        if (Bounded) {
+          Slice = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      Deadline - std::chrono::steady_clock::now())
+                      .count();
+          if (Slice <= 0)
+            return deadlineExpired(Obj, Thread, Report);
+        }
+        switch (Fat->lockIfLiveFor(Thread, Slice)) {
+        case FatLock::TimedResult::Acquired:
+          Policy::afterAcquireFence();
+          if (TL_UNLIKELY(Tracing))
+            recordContendedAcquire(Obj, Thread, TraceT0, TraceParks,
+                                   Fat->entryQueueLength());
+          if (Stats) {
+            Stats->recordFatPath();
+            Stats->recordAcquire(Fat->holdCount());
+            Stats->recordSpinIterations(Spinner.totalSpins());
           }
-          if (Result == FatLock::TimedResult::TimedOut) {
-            watchdogCheck(Obj, Thread);
-            continue;
-          }
-        } else if (TL_UNLIKELY(!Fat->lockIfLive(Thread))) {
+          return TimedLockStatus::Acquired;
+        case FatLock::TimedResult::Retired:
           // Monitor retired by deflation; back off briefly (the
           // deflater has yet to store the fresh thin word), re-read.
-          backoffOnWord(Obj, Thread, Spinner, Value);
+          backoffOnWord(Obj, Thread, Spinner, Value, Deadline);
+          continue;
+        case FatLock::TimedResult::TimedOut:
+          if (Bounded)
+            return deadlineExpired(Obj, Thread, Report);
+          watchdogCheck(Obj, Thread);
           continue;
         }
-        Policy::afterAcquireFence();
-        if (TL_UNLIKELY(Tracing))
-          recordContendedAcquire(Obj, Thread, TraceT0, TraceParks,
-                                 Fat->entryQueueLength());
-        if (Stats) {
-          Stats->recordFatPath();
-          Stats->recordAcquire(Fat->holdCount());
-          Stats->recordSpinIterations(Spinner.totalSpins());
-        }
-        return;
       }
 
       if (lockword::isThinOwnedBy(Value, Shifted)) {
-        uint32_t Count = lockword::countOf(Value);
-        if (Count < lockword::MaxCount) {
-          // §2.3.3: nested lock — owner-only plain store of word + 256.
-          Word.store(Value + lockword::CountUnit, std::memory_order_relaxed);
-          if (Stats)
-            Stats->recordAcquire(Count + 2);
-          return;
-        }
-        // 257th hold: inflate, transferring the 256 existing holds plus
-        // this acquisition.
-        FatLock *Fat = inflateOwned(Obj, Thread, Value, Count + 2,
-                                    obs::InflateCause::Overflow);
-        (void)Fat;
-        if (Stats) {
-          Stats->recordOverflowInflation();
-          Stats->recordAcquire(Count + 2);
-        }
-        return;
+        acquireOwned(Obj, Thread, Value);
+        return TimedLockStatus::Acquired;
       }
 
       if (lockword::isUnlocked(Value)) {
@@ -787,19 +695,23 @@ private:
                                        std::memory_order_acquire,
                                        std::memory_order_relaxed)) {
           Policy::afterAcquireFence();
-          // §2.3.4: we reached here because another thread held the
-          // lock; by the locality-of-contention principle, inflate now
-          // so future contention uses the fat lock's queues.
-          inflateOwned(Obj, Thread, Old | Shifted, 1,
-                       obs::InflateCause::Contention);
-          if (TL_UNLIKELY(Tracing))
-            recordContendedAcquire(Obj, Thread, TraceT0, TraceParks, 0);
+          // §2.3.4: another thread held the lock; by the locality-of-
+          // contention principle, inflate now so future contention uses
+          // the fat lock's queues.  EagerInflate: the policy engine
+          // already knows this object re-inflates, so skip the thin dance.
+          if (SawContention || Pol.EagerInflate) {
+            inflateOwned(Obj, Thread, Old | Shifted, 1,
+                         obs::InflateCause::Contention);
+            if (TL_UNLIKELY(Tracing))
+              recordContendedAcquire(Obj, Thread, TraceT0, TraceParks, 0);
+            if (Stats)
+              Stats->recordContentionInflation();
+          }
           if (Stats) {
-            Stats->recordContentionInflation();
             Stats->recordAcquire(1);
             Stats->recordSpinIterations(Spinner.totalSpins());
           }
-          return;
+          return TimedLockStatus::Acquired;
         }
         continue; // Lost a race; reevaluate the fresh value.
       }
@@ -809,13 +721,37 @@ private:
       // the contended-for owner inflates and publishes the fat word we
       // are woken to queue on the monitor instead of finishing a blind
       // sleep.
-      backoffOnWord(Obj, Thread, Spinner, Value);
-      if (TL_UNLIKELY(Options.DeadlockWatchdog && Spinner.isParking() &&
+      SawContention = true;
+      if (Bounded && std::chrono::steady_clock::now() >= Deadline)
+        return deadlineExpired(Obj, Thread, Report);
+      backoffOnWord(Obj, Thread, Spinner, Value, Deadline);
+      if (TL_UNLIKELY(!Bounded && Spinner.isParking() &&
                       Spinner.totalParks() - ParksAtLastCheck >=
                           Options.WatchdogParkPeriod)) {
         ParksAtLastCheck = Spinner.totalParks();
         watchdogCheck(Obj, Thread);
       }
+    }
+  }
+
+  /// Recursive acquisition of a thin word \p Value the caller owns:
+  /// §2.3.3's nested lock (owner-only plain store of word + 256), or,
+  /// with the count field saturated (256 holds), inflation for the 257th
+  /// hold — transferring the 256 existing holds plus this acquisition.
+  void acquireOwned(Object *Obj, const ThreadContext &Thread,
+                    uint32_t Value) {
+    uint32_t Count = lockword::countOf(Value);
+    if (Count < lockword::MaxCount) {
+      Obj->lockWord().store(Value + lockword::CountUnit,
+                            std::memory_order_relaxed);
+      if (Stats)
+        Stats->recordAcquire(Count + 2);
+      return;
+    }
+    inflateOwned(Obj, Thread, Value, Count + 2, obs::InflateCause::Overflow);
+    if (Stats) {
+      Stats->recordOverflowInflation();
+      Stats->recordAcquire(Count + 2);
     }
   }
 

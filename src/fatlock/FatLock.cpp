@@ -4,6 +4,7 @@
 
 #include "core/LockStats.h"
 #include "park/Parker.h"
+#include "support/Timer.h"
 
 #include <cassert>
 #include <chrono>
@@ -48,54 +49,61 @@ void FatLock::grantTo(EntryNode *Node, uint16_t Index) {
   recordWakeLatency(Node->Pk);
 }
 
-void FatLock::acquireSlow(UniqueLock &Guard,
-                          const ThreadContext &Thread) {
+bool FatLock::acquireSlow(UniqueLock &Guard, const ThreadContext &Thread,
+                          std::optional<int64_t> TimeoutNanos) {
   if (Owner == 0 && EntryHead == nullptr) {
+    // Uncontended: acquire without reading the clock (a deadline
+    // computed up front would tax every post-inflation acquisition).
+    ++Counters.Acquisitions;
     Owner = Thread.index();
-    return;
+    return true;
   }
+  // Being queued blocks retirement, so the monitor stays live until we
+  // either acquire it or dequeue ourselves.
   ++Counters.ContendedAcquisitions;
   EntryNode Node;
   Node.Pk = Thread.parker();
   pushEntry(&Node);
+  const auto Deadline = TimeoutNanos
+                            ? deadlineAfter(*TimeoutNanos)
+                            : std::chrono::steady_clock::time_point::max();
   while (!claimable(&Node)) {
+    if (TimeoutNanos && std::chrono::steady_clock::now() >= Deadline) {
+      ++Counters.Timeouts;
+      removeEntry(&Node);
+      // If the monitor is free we may have just consumed (or be about
+      // to consume) the releaser's handoff; pass it to the new head so
+      // the wake is not lost with our departure.  (Woken under Mu:
+      // timeouts are rare, and callers expect Guard held on return.)
+      if (Parker *Next = Owner == 0 ? entryHandoffTarget() : nullptr)
+        Next->unpark();
+      return false;
+    }
     // Park outside the mutex; a releaser that hands off in this window
     // leaves a sticky token, so the park below returns immediately.
     Guard.unlock();
-    Node.Pk->park();
+    if (TimeoutNanos)
+      Node.Pk->parkUntil(Deadline);
+    else
+      Node.Pk->park();
     Guard.lock();
   }
+  ++Counters.Acquisitions;
   grantTo(&Node, Thread.index());
+  return true;
 }
 
 void FatLock::lock(const ThreadContext &Thread) {
   assert(Thread.isValid() && "locking with an unattached thread");
   UniqueLock Guard(Mu);
   assert(!Retired && "locking a retired (deflated) monitor");
-  ++Counters.Acquisitions;
   if (Owner == Thread.index()) {
+    ++Counters.Acquisitions;
     ++Hold;
     return;
   }
   acquireSlow(Guard, Thread);
   Hold = 1;
-}
-
-bool FatLock::lockIfLive(const ThreadContext &Thread) {
-  assert(Thread.isValid() && "locking with an unattached thread");
-  UniqueLock Guard(Mu);
-  if (Retired)
-    return false;
-  ++Counters.Acquisitions;
-  if (Owner == Thread.index()) {
-    ++Hold;
-    return true;
-  }
-  // Retirement requires an empty entry queue, so enqueueing below
-  // guarantees the monitor stays live until we acquire it.
-  acquireSlow(Guard, Thread);
-  Hold = 1;
-  return true;
 }
 
 FatLock::TimedResult FatLock::lockIfLiveFor(const ThreadContext &Thread,
@@ -109,51 +117,10 @@ FatLock::TimedResult FatLock::lockIfLiveFor(const ThreadContext &Thread,
     ++Hold;
     return TimedResult::Acquired;
   }
-  if (TimeoutNanos < 0) {
-    ++Counters.Acquisitions;
-    acquireSlow(Guard, Thread);
-    Hold = 1;
-    return TimedResult::Acquired;
-  }
-  if (Owner == 0 && EntryHead == nullptr) {
-    // Uncontended: acquire without reading the clock (computing the
-    // deadline up front would tax every post-inflation acquisition).
-    ++Counters.Acquisitions;
-    Owner = Thread.index();
-    Hold = 1;
-    return TimedResult::Acquired;
-  }
-  // As in lockIfLive: being queued blocks retirement, so the monitor
-  // stays live until we either acquire or dequeue ourselves.
-  ++Counters.ContendedAcquisitions;
-  EntryNode Node;
-  Node.Pk = Thread.parker();
-  pushEntry(&Node);
-  auto Deadline = std::chrono::steady_clock::now() +
-                  std::chrono::nanoseconds(TimeoutNanos);
-  for (;;) {
-    if (claimable(&Node)) {
-      ++Counters.Acquisitions;
-      grantTo(&Node, Thread.index());
-      Hold = 1;
-      return TimedResult::Acquired;
-    }
-    if (std::chrono::steady_clock::now() >= Deadline) {
-      ++Counters.Timeouts;
-      removeEntry(&Node);
-      // If the monitor is free we may have just consumed (or be about
-      // to consume) the releaser's handoff; pass it to the new head so
-      // the wake is not lost with our departure.
-      Parker *Next = Owner == 0 ? entryHandoffTarget() : nullptr;
-      Guard.unlock();
-      if (Next)
-        Next->unpark();
-      return TimedResult::TimedOut;
-    }
-    Guard.unlock();
-    Node.Pk->parkUntil(Deadline);
-    Guard.lock();
-  }
+  if (!acquireSlow(Guard, Thread, TimeoutNanos))
+    return TimedResult::TimedOut;
+  Hold = 1;
+  return TimedResult::Acquired;
 }
 
 FatLock::ReleaseResult
@@ -165,8 +132,8 @@ FatLock::unlockAndTryRetire(const ThreadContext &Thread) {
   if (Hold == 1 && !Pinned && EntryHead == nullptr && ThreadsInWait == 0) {
     // Fully quiescent: nobody is queued and nobody is waiting.  Retire
     // instead of releasing; late arrivals that already resolved this
-    // monitor bounce out of lockIfLive() and re-read the object's lock
-    // word.
+    // monitor bounce out of lockIfLiveFor() and re-read the object's
+    // lock word.
     Hold = 0;
     Owner = 0;
     Retired = true;
@@ -197,7 +164,7 @@ bool FatLock::retireIfQuiescent() {
   // Owner == 0 makes this mutually exclusive with unlockAndTryRetire
   // (which requires ownership), and an empty entry queue means no
   // handoff claim is outstanding: nobody can acquire this monitor
-  // except through lockIfLive(), which now rejects it.
+  // except through lockIfLiveFor(), which now rejects it.
   Retired = true;
   return true;
 }
@@ -245,10 +212,10 @@ void FatLock::lockMergingCount(const ThreadContext &Thread, uint32_t Count) {
   assert(Count > 0 && "inflation transfers at least one hold");
   UniqueLock Guard(Mu);
   assert(!Retired && "emergency monitor must be pinned, never retired");
-  ++Counters.Acquisitions;
   if (Owner == Thread.index()) {
     // This thread already routed another object's inflation here: merge
     // the transferred holds so lock/unlock pairs stay balanced.
+    ++Counters.Acquisitions;
     Hold += Count;
     return;
   }
@@ -329,8 +296,7 @@ FatLock::WaitResult FatLock::wait(const ThreadContext &Thread,
   bool HasDeadline = TimeoutNanos >= 0;
   auto Deadline = std::chrono::steady_clock::time_point();
   if (HasDeadline)
-    Deadline = std::chrono::steady_clock::now() +
-               std::chrono::nanoseconds(TimeoutNanos);
+    Deadline = deadlineAfter(TimeoutNanos);
   // Two-phase sleep on one park site.  Phase 1: in the wait set, parked
   // until notified (morphed onto the entry queue) or timed out.  Phase 2:
   // morphed, parked until the handoff that makes us claimable — the
@@ -374,7 +340,6 @@ FatLock::WaitResult FatLock::wait(const ThreadContext &Thread,
   if (!Granted) {
     // Timed out in the wait set: reacquire through the entry queue like
     // any other entrant.
-    ++Counters.Acquisitions;
     acquireSlow(Guard, Thread);
   }
   Hold = SavedHold;
@@ -383,7 +348,7 @@ FatLock::WaitResult FatLock::wait(const ThreadContext &Thread,
   return WasNotified ? WaitResult::Notified : WaitResult::TimedOut;
 }
 
-bool FatLock::notify(const ThreadContext &Thread) {
+bool FatLock::notify([[maybe_unused]] const ThreadContext &Thread) {
   LockGuard Guard(Mu);
   assert(Owner == Thread.index() && "notify by non-owner");
   ++Counters.Notifies;
@@ -400,7 +365,7 @@ bool FatLock::notify(const ThreadContext &Thread) {
   return true;
 }
 
-uint32_t FatLock::notifyAll(const ThreadContext &Thread) {
+uint32_t FatLock::notifyAll([[maybe_unused]] const ThreadContext &Thread) {
   LockGuard Guard(Mu);
   assert(Owner == Thread.index() && "notifyAll by non-owner");
   ++Counters.Notifies;

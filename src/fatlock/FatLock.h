@@ -41,6 +41,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 
 namespace thinlocks {
 
@@ -77,27 +78,25 @@ public:
   /// Asserts that the monitor has not been retired.
   void lock(const ThreadContext &Thread) TL_EXCLUDES(Mu);
 
-  /// Like lock(), but \returns false without acquiring if the monitor
-  /// has been *retired* by deflation — the caller must re-read the
-  /// object's lock word and start over.  Retirement can only happen
-  /// while the entry queue is empty, so once this call has queued it
-  /// cannot be stranded.
-  bool lockIfLive(const ThreadContext &Thread) TL_EXCLUDES(Mu);
-
   /// Outcome of a bounded acquisition attempt.
   enum class TimedResult { Acquired, TimedOut, Retired };
 
-  /// Like lockIfLive(), but gives up after \p TimeoutNanos (negative =
-  /// wait forever).  On timeout the thread dequeues itself from the
-  /// entry FIFO — later entrants are not stranded behind it — and the
-  /// caller typically runs a deadlock check before retrying (see
-  /// ThinLockImpl).
+  /// Like lock(), but gives up after \p TimeoutNanos, and returns
+  /// Retired without acquiring if the monitor has been *retired* by
+  /// deflation — the caller must re-read the object's lock word and
+  /// start over.  A non-positive timeout makes one attempt: it acquires
+  /// a free monitor (or a recursive hold) and otherwise times out.  On
+  /// timeout the thread dequeues itself from the entry FIFO — later
+  /// entrants are not stranded behind it — and the caller typically runs
+  /// a deadlock check before retrying (see ThinLockImpl).  Retirement
+  /// can only happen while the entry queue is empty, so once this call
+  /// has queued it cannot be stranded.
   TimedResult lockIfLiveFor(const ThreadContext &Thread,
                             int64_t TimeoutNanos) TL_EXCLUDES(Mu);
 
   /// Releases one hold; when releasing the last hold finds the monitor
   /// completely quiescent (no queued entrants, no waiters), retires it:
-  /// a retired monitor rejects all future use via lockIfLive().  The
+  /// a retired monitor rejects all future use via lockIfLiveFor().  The
   /// caller then owns re-publishing the object's thin lock word.
   ReleaseResult unlockAndTryRetire(const ThreadContext &Thread)
       TL_EXCLUDES(Mu);
@@ -231,11 +230,16 @@ private:
   /// the wake-latency sample to the stats sink.
   void grantTo(EntryNode *Node, uint16_t Index) TL_REQUIRES(Mu);
 
-  // Blocks until the calling thread holds the monitor; Guard must hold
-  // Mu on entry and holds it on return (it is dropped around each park).
-  // Counts the acquisition as contended unless the monitor was free with
-  // an empty queue.
-  void acquireSlow(UniqueLock &Guard, const ThreadContext &Thread)
+  /// The one enqueue/park/claim loop: acquires the monitor for the
+  /// calling thread, which must not own it, queueing FIFO behind earlier
+  /// arrivals.  Guard must hold Mu on entry and holds it on return (it
+  /// is dropped around each park).  With \p TimeoutNanos the wait is
+  /// bounded, measured from the moment the thread queues; an uncontended
+  /// acquisition never reads the clock.  Counts the acquisition as
+  /// contended unless the monitor was free with an empty queue.
+  /// \returns false only when the timeout expired, after dequeuing.
+  bool acquireSlow(UniqueLock &Guard, const ThreadContext &Thread,
+                   std::optional<int64_t> TimeoutNanos = std::nullopt)
       TL_REQUIRES(Mu);
   void removeWaiter(WaitNode *Node) TL_REQUIRES(Mu);
   void recordWakeLatency(const Parker *Pk);

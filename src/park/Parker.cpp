@@ -3,6 +3,7 @@
 #include "park/Parker.h"
 
 #include "support/FailPoint.h"
+#include "support/Timer.h"
 
 #if defined(THINLOCKS_PARKER_FUTEX)
 #include <climits>
@@ -14,17 +15,6 @@
 
 namespace thinlocks {
 
-namespace {
-
-uint64_t monotonicNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-} // namespace
-
 Parker::WakeReason Parker::park() {
   return parkImpl(/*HasDeadline=*/false, std::chrono::steady_clock::time_point());
 }
@@ -35,8 +25,7 @@ Parker::parkUntil(std::chrono::steady_clock::time_point Deadline) {
 }
 
 Parker::WakeReason Parker::parkFor(int64_t Nanos) {
-  return parkUntil(std::chrono::steady_clock::now() +
-                   std::chrono::nanoseconds(Nanos));
+  return parkUntil(deadlineAfter(Nanos));
 }
 
 Parker::WakeReason Parker::consumeToken(bool Blocked) {

@@ -4,20 +4,13 @@
 
 #include "park/ParkingLot.h"
 #include "support/SpinWait.h"
+#include "support/Timer.h"
 
 #include <cassert>
 #include <chrono>
 #include <cstdio>
 
 using namespace thinlocks;
-
-namespace {
-
-std::chrono::steady_clock::time_point deadlineAfter(int64_t Nanos) {
-  return std::chrono::steady_clock::now() + std::chrono::nanoseconds(Nanos);
-}
-
-} // namespace
 
 FissileLock::FissileLock() : Shards(NumShards) {}
 

@@ -25,6 +25,21 @@ inline uint64_t monotonicNanos() {
           .count());
 }
 
+/// \returns the steady-clock instant \p Nanos from now.  Saturates at
+/// time_point::max() instead of overflowing, so a huge timeout means
+/// "no deadline" rather than wrapping into the past; a non-positive
+/// \p Nanos yields an instant that has already passed.
+inline std::chrono::steady_clock::time_point deadlineAfter(int64_t Nanos) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point Now = Clock::now();
+  const auto Room = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      Clock::time_point::max() - Now);
+  if (Nanos >= Room.count())
+    return Clock::time_point::max();
+  return Now + std::chrono::duration_cast<Clock::duration>(
+                   std::chrono::nanoseconds(Nanos));
+}
+
 /// Measures one interval from construction to stop().
 class StopWatch {
   uint64_t StartNanos;

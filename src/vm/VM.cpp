@@ -32,8 +32,7 @@ VM::VM(Config Cfg) : Cfg(Cfg), Monitors(Cfg.MonitorCapacity) {
     Thin = std::make_unique<ThinLockManager>(
         Monitors, Cfg.CollectLockStats ? &Stats : nullptr,
         Cfg.ThinLockDeflation ? DeflationPolicy::WhenQuiescent
-                              : DeflationPolicy::Never,
-        Cfg.Contention);
+                              : DeflationPolicy::Never);
     Backend = makeSyncBackend(*Thin);
     // Thread-index recycling safety: detach() quarantines any index a
     // live lock word still encodes (a thread that died holding a lock),

@@ -73,9 +73,6 @@ public:
     /// exhaustion degradation path testable without 8M inflations; the
     /// table's shared emergency monitor absorbs overflow either way.
     uint32_t MonitorCapacity = MonitorTable::MaxMonitorIndex;
-    /// Thin-lock contention tuning (escalation ladder + deadlock
-    /// watchdog).
-    ContentionOptions Contention;
   };
 
   /// Constructs a VM with default configuration (thin locks).

@@ -182,22 +182,42 @@ TYPED_TEST(ConformanceTest, TryLockForTimesOutThenAcquires) {
   std::atomic<bool> Failed{false};
   std::thread Contender([&] {
     ScopedThreadAttachment Attachment(this->Registry, "trier");
-    EXPECT_FALSE(this->protocol().tryLock(Obj, Attachment.context()));
-    EXPECT_EQ(this->protocol().tryLockFor(Obj, Attachment.context(),
+    const ThreadContext &Me = Attachment.context();
+    EXPECT_FALSE(this->protocol().tryLock(Obj, Me));
+    EXPECT_EQ(this->protocol().tryLockFor(Obj, Me,
                                           /*TimeoutNanos=*/2'000'000),
               TimedLockStatus::TimedOut);
+    // A non-positive timeout is one attempt on every protocol, never
+    // "wait forever".
+    for (int64_t Timeout : {int64_t{-1}, int64_t{0}}) {
+      auto Start = std::chrono::steady_clock::now();
+      TimedLockStatus Status = this->protocol().tryLockFor(Obj, Me, Timeout);
+      auto Elapsed = std::chrono::steady_clock::now() - Start;
+      EXPECT_EQ(Status, TimedLockStatus::TimedOut) << "timeout " << Timeout;
+      EXPECT_LT(Elapsed, std::chrono::milliseconds(500))
+          << "timeout " << Timeout;
+      if (Status == TimedLockStatus::Acquired)
+        this->protocol().unlock(Obj, Me);
+    }
     Failed.store(true, std::memory_order_release);
-    // Unbounded-enough retry: once the owner releases, a bounded
-    // acquisition must succeed.
-    TimedLockStatus Status = TimedLockStatus::TimedOut;
-    while (Status != TimedLockStatus::Acquired)
-      Status = this->protocol().tryLockFor(Obj, Attachment.context(),
-                                           /*TimeoutNanos=*/5'000'000);
-    EXPECT_TRUE(this->protocol().holdsLock(Obj, Attachment.context()));
-    this->protocol().unlock(Obj, Attachment.context());
+    // A timeout too large to add to the clock saturates instead of
+    // wrapping into the past: this waits out the owner's hold.
+    TimedLockStatus Status = this->protocol().tryLockFor(Obj, Me, INT64_MAX);
+    EXPECT_EQ(Status, TimedLockStatus::Acquired);
+    if (Status == TimedLockStatus::Acquired) {
+      EXPECT_TRUE(this->protocol().holdsLock(Obj, Me));
+      this->protocol().unlock(Obj, Me);
+    }
   });
-  while (!Failed.load(std::memory_order_acquire))
-    std::this_thread::yield();
+  // Hold until the contender has reported (bounded, so a protocol that
+  // blocks on a non-positive timeout fails instead of hanging), then a
+  // while longer so the INT64_MAX attempt really has to wait.
+  const auto GiveUp =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!Failed.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < GiveUp)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
   this->protocol().unlock(Obj, this->Main);
   Contender.join();
 }
@@ -339,29 +359,35 @@ TYPED_TEST(ConformanceTest, ManyObjectsManyThreads) {
 }
 
 TYPED_TEST(ConformanceTest, WaitNotifyHandshake) {
-  Object *Obj = this->newObject();
-  std::atomic<int> Phase{0};
+  // -1 waits forever; INT64_MAX is a timeout too large to add to the
+  // clock, which must saturate rather than expire at once.
+  for (int64_t Timeout : {int64_t{-1}, INT64_MAX}) {
+    SCOPED_TRACE(Timeout);
+    Object *Obj = this->newObject();
+    std::atomic<int> Phase{0};
 
-  std::thread Waiter([&] {
-    ScopedThreadAttachment Attachment(this->Registry, "waiter");
-    this->protocol().lock(Obj, Attachment.context());
-    Phase.store(1);
-    WaitStatus Status = this->protocol().wait(Obj, Attachment.context(), -1);
-    EXPECT_EQ(Status, WaitStatus::Notified);
-    Phase.store(2);
-    this->protocol().unlock(Obj, Attachment.context());
-  });
+    std::thread Waiter([&] {
+      ScopedThreadAttachment Attachment(this->Registry, "waiter");
+      this->protocol().lock(Obj, Attachment.context());
+      Phase.store(1);
+      WaitStatus Status =
+          this->protocol().wait(Obj, Attachment.context(), Timeout);
+      EXPECT_EQ(Status, WaitStatus::Notified);
+      Phase.store(2);
+      this->protocol().unlock(Obj, Attachment.context());
+    });
 
-  while (Phase.load() != 1)
-    std::this_thread::yield();
-  // Acquire, which guarantees the waiter is inside wait() (it holds the
-  // monitor until wait releases it).
-  this->protocol().lock(Obj, this->Main);
-  EXPECT_EQ(Phase.load(), 1);
-  EXPECT_EQ(this->protocol().notify(Obj, this->Main), NotifyStatus::Ok);
-  this->protocol().unlock(Obj, this->Main);
-  Waiter.join();
-  EXPECT_EQ(Phase.load(), 2);
+    while (Phase.load() < 1)
+      std::this_thread::yield();
+    // Acquire, which guarantees the waiter is inside wait() (it holds the
+    // monitor until wait releases it).
+    this->protocol().lock(Obj, this->Main);
+    EXPECT_EQ(Phase.load(), 1);
+    EXPECT_EQ(this->protocol().notify(Obj, this->Main), NotifyStatus::Ok);
+    this->protocol().unlock(Obj, this->Main);
+    Waiter.join();
+    EXPECT_EQ(Phase.load(), 2);
+  }
 }
 
 TYPED_TEST(ConformanceTest, TimedWaitTimesOutAndReacquires) {

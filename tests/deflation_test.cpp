@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -171,16 +172,25 @@ TEST_F(DeflationTest, DefaultPolicyNeverDeflates) {
 
 TEST_F(DeflationTest, TryLockSurvivesDeflationCycles) {
   Object *Obj = TheHeap.allocate(*Class);
-  for (int Round = 0; Round < 10; ++Round) {
-    inflateViaWait(Obj);
-    EXPECT_TRUE(Locks.tryLock(Obj, Main)); // Nested on the fat lock.
-    Locks.unlock(Obj, Main);
-    Locks.unlock(Obj, Main); // Deflates.
-    EXPECT_FALSE(Locks.isInflated(Obj));
-    EXPECT_TRUE(Locks.tryLock(Obj, Main)); // Thin again.
-    Locks.unlock(Obj, Main);
+  // The same cycles through both non-blocking entry points.
+  const std::function<bool()> TryAcquires[] = {
+      [&] { return Locks.tryLock(Obj, Main); },
+      [&] {
+        return Locks.tryLockFor(Obj, Main, /*TimeoutNanos=*/1'000'000) ==
+               TimedLockStatus::Acquired;
+      }};
+  for (const auto &TryAcquire : TryAcquires) {
+    for (int Round = 0; Round < 10; ++Round) {
+      inflateViaWait(Obj);
+      EXPECT_TRUE(TryAcquire()); // Nested on the fat lock.
+      Locks.unlock(Obj, Main);
+      Locks.unlock(Obj, Main); // Deflates.
+      EXPECT_FALSE(Locks.isInflated(Obj));
+      EXPECT_TRUE(TryAcquire()); // Thin again.
+      Locks.unlock(Obj, Main);
+    }
   }
-  EXPECT_EQ(Stats.deflations(), 10u);
+  EXPECT_EQ(Stats.deflations(), 20u);
 }
 
 TEST_F(DeflationTest, MutualExclusionSurvivesThrash) {

@@ -427,6 +427,45 @@ TEST_F(ExhaustionTest, TryLockForConfirmsTwoThreadCycle) {
   Locks.unlock(B, Main);
 }
 
+TEST_F(ExhaustionTest, TryLockForHugeTimeoutNeverRunsTheWatchdog) {
+  // A saturated tryLockFor deadline is still a deadline: the bounded
+  // path must not run lock()'s watchdog, which (aborting, and tuned to
+  // fire within milliseconds) would end the process on the cycle below
+  // long before the other side gives up and breaks it.
+  ContentionOptions Options;
+  Options.Spin.YieldThresholdRound = 0;
+  Options.Spin.ParkThresholdRound = 0;
+  Options.Spin.MinParkNanos = 1'000;
+  Options.Spin.MaxParkNanos = 100'000;
+  Options.WatchdogParkPeriod = 8;
+  Options.AbortOnDeadlock = true;
+  Locks.setContentionOptions(Options);
+
+  Object *A = newObject();
+  Object *B = newObject();
+  Locks.lock(A, Main);
+  std::atomic<bool> HoldsB{false};
+  std::atomic<TimedLockStatus> T2Status{TimedLockStatus::Acquired};
+  std::thread T2([&] {
+    ScopedThreadAttachment Attachment(Registry, "t2");
+    Locks.lock(B, Attachment.context());
+    HoldsB.store(true);
+    T2Status.store(
+        Locks.tryLockFor(A, Attachment.context(), 200'000'000));
+    Locks.unlock(B, Attachment.context()); // Breaks the cycle.
+  });
+  while (!HoldsB.load())
+    std::this_thread::yield();
+
+  TimedLockStatus Status = Locks.tryLockFor(B, Main, INT64_MAX);
+  EXPECT_EQ(Status, TimedLockStatus::Acquired);
+  T2.join();
+  EXPECT_EQ(T2Status.load(), TimedLockStatus::Deadlock);
+  if (Status == TimedLockStatus::Acquired)
+    Locks.unlock(B, Main);
+  Locks.unlock(A, Main);
+}
+
 TEST(DeadlockWatchdogDeathTest, BlockedLockAbortsWithCycleReport) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // The default policy: a confirmed cycle in plain lock() is fatal and
@@ -444,8 +483,8 @@ TEST(DeadlockWatchdogDeathTest, BlockedLockAbortsWithCycleReport) {
         Options.Spin.MaxParkNanos = 100'000;
         Options.WatchdogParkPeriod = 8;
         Options.AbortOnDeadlock = true;
-        ThinLockManager Locks{Monitors, nullptr, DeflationPolicy::Never,
-                              Options};
+        ThinLockManager Locks{Monitors};
+        Locks.setContentionOptions(Options);
         const ClassInfo &Class = TheHeap.classes().registerClass("T", 1);
         Object *A = TheHeap.allocate(Class);
         Object *B = TheHeap.allocate(Class);

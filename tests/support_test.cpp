@@ -449,6 +449,22 @@ TEST(Timer, MedianElapsedRunsBodyExactly) {
   EXPECT_EQ(Runs, 5);
 }
 
+TEST(Timer, DeadlineAfterSaturatesInsteadOfWrapping) {
+  using Clock = std::chrono::steady_clock;
+  EXPECT_EQ(deadlineAfter(INT64_MAX), Clock::time_point::max());
+  // Just below the saturation point still lands in the far future.
+  EXPECT_GT(deadlineAfter(INT64_MAX / 2), Clock::now());
+  for (int64_t Nanos : {int64_t{0}, int64_t{-1}, INT64_MIN}) {
+    auto Deadline = deadlineAfter(Nanos);
+    EXPECT_LE(Deadline, Clock::now()) << Nanos;
+  }
+  auto Before = Clock::now();
+  auto Deadline = deadlineAfter(1'000'000'000);
+  auto After = Clock::now();
+  EXPECT_GE(Deadline - Before, std::chrono::seconds(1));
+  EXPECT_LE(Deadline - After, std::chrono::seconds(1));
+}
+
 //===----------------------------------------------------------------------===//
 // SpinWait
 //===----------------------------------------------------------------------===//

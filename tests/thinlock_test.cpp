@@ -11,11 +11,13 @@
 
 #include "core/ThinLock.h"
 #include "heap/Heap.h"
+#include "park/ParkingLot.h"
 #include "threads/ThreadRegistry.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -408,6 +410,36 @@ TEST_F(ThinLockStatsTest, CountsContentionInflation) {
   Locks.unlock(Obj, Main);
   Other.join();
   EXPECT_EQ(Stats.contentionInflations(), 1u);
+}
+
+TEST_F(ThinLockStatsTest, CountsTryLockForContentionInflation) {
+  // A bounded acquisition that had to wait on a thin holder inflates
+  // once it gets the word, exactly like lock() (§2.3.4).
+  Object *Obj = TheHeap.allocate(*Class);
+  Locks.lock(Obj, Main);
+  std::atomic<TimedLockStatus> Status{TimedLockStatus::TimedOut};
+  std::thread Other([&] {
+    ScopedThreadAttachment Attachment(Registry);
+    Status.store(Locks.tryLockFor(Obj, Attachment.context(),
+                                  /*TimeoutNanos=*/5'000'000'000));
+    if (Status.load() == TimedLockStatus::Acquired)
+      Locks.unlock(Obj, Attachment.context());
+  });
+  // Release once the contender parks on the thin word (the ladder's last
+  // rung), so it has certainly seen the holder; bounded, so a contender
+  // that never waits fails instead of hanging.
+  const auto GiveUp =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (ParkingLot::global().queuedOn(Obj) == 0 &&
+         std::chrono::steady_clock::now() < GiveUp)
+    std::this_thread::yield();
+  Locks.unlock(Obj, Main);
+  Other.join();
+  EXPECT_EQ(Status.load(), TimedLockStatus::Acquired);
+  EXPECT_EQ(Stats.contentionInflations(), 1u);
+  EXPECT_EQ(Stats.inflations(), 1u);
+  EXPECT_TRUE(Locks.isInflated(Obj));
+  EXPECT_EQ(Stats.timedOutAcquisitions(), 0u);
 }
 
 TEST_F(ThinLockStatsTest, SummaryMentionsKeyCounters) {
