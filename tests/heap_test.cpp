@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <set>
 #include <thread>
 #include <vector>
@@ -95,10 +97,23 @@ TEST(Heap, ObjectsSpanMultipleBlocks) {
 
 TEST(Heap, OversizedObjectGetsDedicatedBlock) {
   Heap TheHeap(/*BlockBytes=*/4096);
+  const ClassInfo &Small = TheHeap.classes().registerClass("Small", 0);
   const ClassInfo &Class = TheHeap.classes().registerClass("Huge", 2048);
+  Object *Before = TheHeap.allocate(Small);
   Object *Obj = TheHeap.allocate(Class);
+  Object *After = TheHeap.allocate(Small);
   Obj->setSlot(2047, 7);
   EXPECT_EQ(Obj->slot(2047), 7u);
+  // The oversized object did not displace the open buffer: the small
+  // objects around it are neighbours.
+  EXPECT_EQ(reinterpret_cast<char *>(After),
+            reinterpret_cast<char *>(Before) + sizeof(Object));
+  EXPECT_EQ(TheHeap.objectsAllocated(), 3u);
+  EXPECT_EQ(TheHeap.bytesAllocated(), 2 * sizeof(Object) + 16 + 2048 * 8);
+  std::vector<const Object *> Walked;
+  TheHeap.forEachObject([&](const Object &O) { Walked.push_back(&O); });
+  ASSERT_EQ(Walked.size(), 3u);
+  EXPECT_NE(std::find(Walked.begin(), Walked.end(), Obj), Walked.end());
 }
 
 TEST(Heap, ClassOfResolvesThroughRegistry) {
@@ -112,24 +127,127 @@ TEST(Heap, ClassOfResolvesThroughRegistry) {
 }
 
 TEST(Heap, ConcurrentAllocationProducesDistinctObjects) {
-  Heap TheHeap;
-  const ClassInfo &Class = TheHeap.classes().registerClass("C", 1);
-  constexpr int NumThreads = 4;
-  constexpr int PerThread = 2000;
-  std::vector<std::vector<Object *>> PerThreadObjects(NumThreads);
-  std::vector<std::thread> Workers;
-  for (int T = 0; T < NumThreads; ++T)
-    Workers.emplace_back([&, T] {
-      for (int I = 0; I < PerThread; ++I)
-        PerThreadObjects[T].push_back(TheHeap.allocate(Class));
-    });
-  for (auto &W : Workers)
-    W.join();
-  std::set<Object *> All;
-  for (auto &List : PerThreadObjects)
-    for (Object *Obj : List)
-      All.insert(Obj);
-  EXPECT_EQ(All.size(), static_cast<size_t>(NumThreads) * PerThread);
-  EXPECT_EQ(TheHeap.objectsAllocated(),
-            static_cast<uint64_t>(NumThreads) * PerThread);
+  // The small block size makes every thread refill many times.
+  for (size_t BlockBytes : {size_t(1) << 20, size_t(4096)}) {
+    SCOPED_TRACE(BlockBytes);
+    Heap TheHeap(BlockBytes);
+    const ClassInfo &Class = TheHeap.classes().registerClass("C", 1);
+    constexpr int NumThreads = 4;
+    constexpr int PerThread = 2000;
+    std::vector<std::vector<Object *>> PerThreadObjects(NumThreads);
+    std::vector<std::thread> Workers;
+    for (int T = 0; T < NumThreads; ++T)
+      Workers.emplace_back([&, T] {
+        for (int I = 0; I < PerThread; ++I)
+          PerThreadObjects[T].push_back(TheHeap.allocate(Class));
+      });
+    for (auto &W : Workers)
+      W.join();
+    std::set<Object *> All;
+    std::set<uint32_t> Hashes;
+    for (auto &List : PerThreadObjects)
+      for (Object *Obj : List) {
+        All.insert(Obj);
+        Hashes.insert(Obj->identityHash());
+      }
+    constexpr uint64_t Total = uint64_t(NumThreads) * PerThread;
+    EXPECT_EQ(All.size(), Total);
+    EXPECT_EQ(TheHeap.objectsAllocated(), Total);
+    EXPECT_EQ(TheHeap.bytesAllocated(), Total * (sizeof(Object) + 8));
+    // Buffers seeded alike would repeat one another's hash streams.
+    EXPECT_GT(Hashes.size(), Total * 99 / 100);
+  }
+}
+
+TEST(Heap, WalkNeverSeesUnconstructedObjects) {
+  constexpr int Rounds = 20;
+  constexpr int PerThread = 5000;
+  for (int Allocators = 1; Allocators <= 3; ++Allocators) {
+    for (int Round = 0; Round < Rounds; ++Round) {
+      Heap TheHeap;
+      // Class 0 has no slots: walked zeroed or stale memory would read as
+      // a run of class-0 objects.
+      TheHeap.classes().registerClass("Zero", 0);
+      const ClassInfo &Six = TheHeap.classes().registerClass("Six", 6);
+      std::atomic<bool> Go{false};
+      std::atomic<int> Running{Allocators};
+      std::vector<std::thread> Workers;
+      for (int T = 0; T < Allocators; ++T)
+        Workers.emplace_back([&] {
+          while (!Go.load(std::memory_order_acquire))
+            std::this_thread::yield();
+          // Spread the allocations out so walks land between them.
+          for (int I = 0; I < PerThread; ++I) {
+            TheHeap.allocate(Six);
+            if (I % 16 == 0)
+              std::this_thread::yield();
+          }
+          Running.fetch_sub(1, std::memory_order_release);
+        });
+      uint64_t Foreign = 0;
+      uint64_t MaxWalked = 0;
+      Go.store(true, std::memory_order_release);
+      // Bounded, and yielding between walks, so that a walker holding the
+      // heap mutex cannot starve allocators that need it.
+      for (int Walk = 0;
+           Walk < 200 && Running.load(std::memory_order_acquire) != 0;
+           ++Walk) {
+        uint64_t Walked = 0;
+        TheHeap.forEachObject([&](const Object &Obj) {
+          ++Walked;
+          if (Obj.classIndex() != Six.Index)
+            ++Foreign;
+        });
+        MaxWalked = std::max(MaxWalked, Walked);
+        std::this_thread::yield();
+      }
+      for (auto &W : Workers)
+        W.join();
+      ASSERT_EQ(Foreign, 0u) << Allocators << " allocators, round " << Round;
+      ASSERT_LE(MaxWalked, TheHeap.objectsAllocated());
+      ASSERT_EQ(TheHeap.objectsAllocated(), uint64_t(Allocators) * PerThread);
+    }
+  }
+}
+
+TEST(Heap, FreshHeapAtSameAddressNeverReusesStaleBuffer) {
+  // Each iteration's heap lives at the same stack address.  A thread's
+  // open buffer must be tied to the heap instance, not its address, or
+  // the next heap would bump into the destroyed one's storage.
+  constexpr uint64_t N = 50;
+  for (int I = 0; I < 1000; ++I) {
+    Heap H(4096);
+    const ClassInfo &Class = H.classes().registerClass("C", 2);
+    for (uint64_t J = 0; J < N; ++J)
+      H.allocate(Class)->setSlot(1, J);
+    ASSERT_EQ(H.objectsAllocated(), N);
+    ASSERT_EQ(H.bytesAllocated(), N * (sizeof(Object) + 16));
+  }
+}
+
+TEST(Heap, AlternatingHeapsKeepExactCountsAndBoundedBlocks) {
+  Heap A(4096);
+  Heap B(4096);
+  const ClassInfo &ClassA = A.classes().registerClass("A", 2);
+  const ClassInfo &ClassB = B.classes().registerClass("B", 2);
+  constexpr uint64_t N = 1000;
+  constexpr size_t Size = sizeof(Object) + 16;
+  std::vector<char *> ObjectsA;
+  std::vector<char *> ObjectsB;
+  for (uint64_t I = 0; I < N; ++I) {
+    ObjectsA.push_back(reinterpret_cast<char *>(A.allocate(ClassA)));
+    ObjectsB.push_back(reinterpret_cast<char *>(B.allocate(ClassB)));
+  }
+  EXPECT_EQ(A.objectsAllocated(), N);
+  EXPECT_EQ(B.objectsAllocated(), N);
+  EXPECT_EQ(A.bytesAllocated(), N * Size);
+  EXPECT_EQ(B.bytesAllocated(), N * Size);
+  // Each heap's objects run back to back until a buffer fills, so a
+  // switch between heaps never opens a new buffer.
+  for (const std::vector<char *> *Objects : {&ObjectsA, &ObjectsB}) {
+    size_t Breaks = 0;
+    for (size_t I = 1; I < Objects->size(); ++I)
+      Breaks += (*Objects)[I] != (*Objects)[I - 1] + Size;
+    EXPECT_LE(Breaks, N * Size / 2048);
+  }
 }
