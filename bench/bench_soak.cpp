@@ -14,11 +14,6 @@
 //                  -DTHINLOCKS_FAILPOINTS=ON build; exits 77 (ctest
 //                  SKIP_RETURN_CODE) otherwise.
 //   --smoke        CI profile: short duration, modest rate.
-//   --adaptive     closes the profiler->policy loop: an
-//                  AdaptivePolicyEngine ticks with the admission
-//                  controller and steers the lock slow paths (spin
-//                  class, eager inflation, KeepFat, speculative
-//                  deflation).
 //
 // The binary is its own referee: quantile monotonicity, the accounting
 // identity offered == completed + shed, typed-error bookkeeping, trace
@@ -30,11 +25,10 @@
 // The harness is protocol-generic: --protocol NAME (or the
 // THINLOCKS_PROTOCOL env var) soaks any registered protocol; the name
 // lands in the SLO snapshot, the config block, and every trace span.
-// --adaptive stays thin-lock-only (the engine steers header policies).
 //
 // Usage:
 //   bench_soak [--duration-s N] [--rate R] [--workers N] [--seed S]
-//              [--protocol NAME] [--chaos] [--smoke] [--adaptive]
+//              [--protocol NAME] [--chaos] [--smoke]
 //              [--out BENCH_soak.json] [--trace-out PATH]
 //
 //===----------------------------------------------------------------------===//
@@ -62,7 +56,6 @@ struct Options {
   uint64_t Seed = 1;
   bool Chaos = false;
   bool Smoke = false;
-  bool Adaptive = false;
   /// Empty = resolve via $THINLOCKS_PROTOCOL, then the default.
   const char *Protocol = "";
   const char *Out = "BENCH_soak.json";
@@ -73,7 +66,7 @@ struct Options {
   std::fprintf(stderr,
                "usage: %s [--duration-s N] [--rate R] [--workers N]\n"
                "          [--seed S] [--protocol NAME] [--chaos] [--smoke]\n"
-               "          [--adaptive] [--out PATH] [--trace-out PATH]\n",
+               "          [--out PATH] [--trace-out PATH]\n",
                Argv0);
   std::exit(Exit);
 }
@@ -98,8 +91,6 @@ bool parseOptions(int Argc, char **Argv, Options &Opts) {
       Opts.Chaos = true;
     else if (std::strcmp(Argv[I], "--smoke") == 0)
       Opts.Smoke = true;
-    else if (std::strcmp(Argv[I], "--adaptive") == 0)
-      Opts.Adaptive = true;
     else if (std::strcmp(Argv[I], "--protocol") == 0)
       Opts.Protocol = next();
     else if (std::strncmp(Argv[I], "--protocol=", 11) == 0)
@@ -149,13 +140,6 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "\n");
     return 2;
   }
-  if (Opts.Adaptive && Protocol != "ThinLock") {
-    std::fprintf(stderr,
-                 "error: --adaptive steers thin-lock header policies; "
-                 "protocol '%s' has none\n",
-                 Protocol.c_str());
-    return 2;
-  }
 
   SoakConfig Config;
   Config.Protocol = Protocol;
@@ -164,12 +148,6 @@ int main(int Argc, char **Argv) {
   Config.Workers = Opts.Workers;
   Config.Seed = Opts.Seed;
   Config.Chaos = Opts.Chaos;
-  if (Opts.Adaptive) {
-    Config.AdaptivePolicy = true;
-    // The harness owns its heap; session objects outlive the run, so
-    // the engine may dereference cold tracked addresses to deflate.
-    Config.Policy.SpeculativeDeflation = true;
-  }
   if (Opts.Chaos) {
     // Shrunk resource spaces: occupancy signals move visibly, while the
     // injected exhaustion (transient by design) supplies the typed
@@ -180,11 +158,11 @@ int main(int Argc, char **Argv) {
   }
 
   std::printf("bench_soak: protocol=%s rate=%.0f/s duration=%.1fs "
-              "workers=%u seed=%llu chaos=%d adaptive=%d\n",
+              "workers=%u seed=%llu chaos=%d\n",
               Protocol.c_str(), Config.ArrivalsPerSecond,
               Config.DurationSeconds, Config.Workers,
               static_cast<unsigned long long>(Config.Seed),
-              Opts.Chaos ? 1 : 0, Opts.Adaptive ? 1 : 0);
+              Opts.Chaos ? 1 : 0);
 
   SoakResult Result = runSoak(Config);
   const obs::SloSnapshot &Slo = Result.Slo;
@@ -230,22 +208,6 @@ int main(int Argc, char **Argv) {
   for (const auto &Transition : Result.LevelTimeline)
     std::printf("  ladder -> %s\n",
                 degradationLevelName(Transition.second));
-  if (Opts.Adaptive) {
-    const policy::PolicyCounters &P = Result.Policy;
-    std::printf("policy: ticks=%llu promotions=%llu demotions=%llu "
-                "expiries=%llu deep=%llu park_early=%llu keep_fat=%llu "
-                "spec_deflations=%llu publish_failures=%llu tracked=%llu\n",
-                static_cast<unsigned long long>(P.Ticks),
-                static_cast<unsigned long long>(P.Promotions),
-                static_cast<unsigned long long>(P.Demotions),
-                static_cast<unsigned long long>(P.Expiries),
-                static_cast<unsigned long long>(P.DeepSpinDecisions),
-                static_cast<unsigned long long>(P.ParkEarlyDecisions),
-                static_cast<unsigned long long>(P.KeepFatDecisions),
-                static_cast<unsigned long long>(P.SpeculativeDeflations),
-                static_cast<unsigned long long>(P.PublishFailures),
-                static_cast<unsigned long long>(P.ObjectsTracked));
-  }
 
   // --- Self-checks -------------------------------------------------------
   check(Slo.Protocol == Protocol,
@@ -266,10 +228,6 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "  trace error: %s\n", Error.c_str());
   }
   check(!Result.WorstSessions.empty(), "no worst-session spans retained");
-
-  if (Opts.Adaptive)
-    check(Result.Policy.Ticks > 0,
-          "adaptive engine wired but never ticked");
 
   if (Opts.Chaos) {
     check(Result.ChaosPhasesRun == buildChaosSchedule(Config.ChaosSeed).size(),
@@ -304,27 +262,10 @@ int main(int Argc, char **Argv) {
                      std::to_string(Config.HotObjects) +
                      ", \"zipf_theta\": " +
                      std::to_string(Config.ZipfTheta) +
-                     ", \"adaptive\": " +
-                     (Opts.Adaptive ? std::string("true")
-                                    : std::string("false")) +
                      "},\n  \"slo\": ";
   Json += Slo.toJson();
-  if (Opts.Adaptive) {
-    const policy::PolicyCounters &P = Result.Policy;
-    Json += ",\n  \"policy\": {\"ticks\": " + std::to_string(P.Ticks) +
-            ", \"promotions\": " + std::to_string(P.Promotions) +
-            ", \"demotions\": " + std::to_string(P.Demotions) +
-            ", \"expiries\": " + std::to_string(P.Expiries) +
-            ", \"deep_spin\": " + std::to_string(P.DeepSpinDecisions) +
-            ", \"park_early\": " + std::to_string(P.ParkEarlyDecisions) +
-            ", \"keep_fat\": " + std::to_string(P.KeepFatDecisions) +
-            ", \"class_promotions\": " + std::to_string(P.ClassPromotions) +
-            ", \"speculative_deflations\": " +
-            std::to_string(P.SpeculativeDeflations) +
-            ", \"publish_failures\": " + std::to_string(P.PublishFailures) +
-            ", \"monitor_retirements\": " +
-            std::to_string(Result.MonitorRetirements) + "}";
-  }
+  Json += ",\n  \"monitor_retirements\": " +
+          std::to_string(Result.MonitorRetirements);
   if (!Result.ProtocolStatsJson.empty())
     Json += ",\n  \"protocol_stats\": " + Result.ProtocolStatsJson;
   Json += "}\n";

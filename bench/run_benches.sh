@@ -26,8 +26,6 @@
 #   BENCH_TRACE=1   also run macro_trace (if built) and stage
 #                   BENCH_trace.json, a Chrome trace_event artifact of a
 #                   traced macro replay (see DESIGN.md §10).
-#   BENCH_ADAPTIVE=1  also run bench_adaptive (the profiler->policy A/B,
-#                   DESIGN.md §13) and stage BENCH_adaptive.json.
 #   BENCH_MATRIX=1  also run bench_matrix (every registered protocol x
 #                   the shared workload battery, DESIGN.md §14) and stage
 #                   BENCH_matrix.json; BENCH_MATRIX_ARGS overrides the
@@ -60,15 +58,8 @@ OUT_DIR="${BENCH_OUT_DIR:-$ROOT}"
 # (bench/BenchRusage.h) next to wall time.
 FASTPATH_SUITES=(bench_fastpath)
 CONTENTION_SUITES=(bench_inflation_storm bench_wakeup)
-# bench_adaptive is the profiler->policy A/B (DESIGN.md §13); opt-in
-# because its convoy scenario deliberately oversubscribes the host.
-ADAPTIVE_SUITES=()
-if [ "${BENCH_ADAPTIVE:-0}" != 0 ]; then
-  ADAPTIVE_SUITES=(bench_adaptive)
-fi
 
-for Suite in "${FASTPATH_SUITES[@]}" "${CONTENTION_SUITES[@]}" \
-             "${ADAPTIVE_SUITES[@]}"; do
+for Suite in "${FASTPATH_SUITES[@]}" "${CONTENTION_SUITES[@]}"; do
   if [ ! -x "$BUILD_DIR/bench/$Suite" ]; then
     echo "error: $BUILD_DIR/bench/$Suite not found." >&2
     echo "Build it first:  cmake --preset bench && cmake --build --preset bench -j" >&2
@@ -102,9 +93,6 @@ for Suite in "${FASTPATH_SUITES[@]}"; do
     --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
 done
 for Suite in "${CONTENTION_SUITES[@]}"; do
-  run_suite "$Suite"
-done
-for Suite in "${ADAPTIVE_SUITES[@]}"; do
   run_suite "$Suite"
 done
 
@@ -164,10 +152,6 @@ CONTENTION_INPUTS=(); for S in "${CONTENTION_SUITES[@]}"; do CONTENTION_INPUTS+=
 
 merge BENCH_fastpath.json "${FASTPATH_INPUTS[@]}"
 merge BENCH_contention.json "${CONTENTION_INPUTS[@]}"
-if [ "${#ADAPTIVE_SUITES[@]}" -gt 0 ]; then
-  ADAPTIVE_INPUTS=(); for S in "${ADAPTIVE_SUITES[@]}"; do ADAPTIVE_INPUTS+=("$TMP/$S.json"); done
-  merge BENCH_adaptive.json "${ADAPTIVE_INPUTS[@]}"
-fi
 
 # Optional tracing artifact: a Chrome trace of one traced macro replay
 # plus the hot-lock table on stderr.  Staged with the same all-or-nothing

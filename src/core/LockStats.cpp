@@ -33,6 +33,7 @@ LockStats::Snapshot LockStats::rawSnapshot() const {
   S.ContentionInflations = ContentionInflations.value();
   S.OverflowInflations = OverflowInflations.value();
   S.WaitInflations = WaitInflations.value();
+  S.HintInflations = HintInflations.value();
   S.Deflations = Deflations.value();
   S.EmergencyInflations = EmergencyInflations.value();
   S.TimedOutAcquisitions = TimedOutAcquisitions.value();
@@ -59,6 +60,7 @@ LockStats::Snapshot LockStats::snapshot() const {
   S.OverflowInflations =
       minus(S.OverflowInflations, Baseline.OverflowInflations);
   S.WaitInflations = minus(S.WaitInflations, Baseline.WaitInflations);
+  S.HintInflations = minus(S.HintInflations, Baseline.HintInflations);
   S.Deflations = minus(S.Deflations, Baseline.Deflations);
   S.EmergencyInflations =
       minus(S.EmergencyInflations, Baseline.EmergencyInflations);
@@ -106,7 +108,7 @@ std::string LockStats::summary() const {
   std::snprintf(
       Buffer, sizeof(Buffer),
       "locks=%llu unlocks=%llu fast=%llu fat=%llu spins=%llu\n"
-      "inflations: contention=%llu overflow=%llu wait=%llu "
+      "inflations: contention=%llu overflow=%llu wait=%llu hint=%llu "
       "emergency=%llu deflations=%llu\n"
       "degraded: timeouts=%llu deadlocks=%llu\n"
       "depth: first=%.1f%% second=%.1f%% third=%.1f%% fourth+=%.1f%%\n"
@@ -119,6 +121,7 @@ std::string LockStats::summary() const {
       static_cast<unsigned long long>(S.ContentionInflations),
       static_cast<unsigned long long>(S.OverflowInflations),
       static_cast<unsigned long long>(S.WaitInflations),
+      static_cast<unsigned long long>(S.HintInflations),
       static_cast<unsigned long long>(S.EmergencyInflations),
       static_cast<unsigned long long>(S.Deflations),
       static_cast<unsigned long long>(S.TimedOutAcquisitions),

@@ -4,9 +4,9 @@
 /// Instrumentation counters behind the paper's locking characterization:
 /// Table 1's synchronization counts and Figure 3's nesting-depth
 /// breakdown (First / Second / Third / Fourth-or-deeper lock operations),
-/// plus inflation causes.  Collection is optional: protocols take a
-/// nullable LockStats* and skip all recording when it is null, so
-/// measurement runs pay nothing.
+/// plus inflations by cause (the paper's three, and the explicit hint).
+/// Collection is optional: protocols take a nullable LockStats* and skip
+/// all recording when it is null, so measurement runs pay nothing.
 ///
 /// Counters are striped (see support/StatsCounter.h), so recording from
 /// many threads does not serialize on shared cache lines.  Every
@@ -64,6 +64,8 @@ public:
     uint64_t ContentionInflations = 0;
     uint64_t OverflowInflations = 0;
     uint64_t WaitInflations = 0;
+    /// Explicit pre-inflation through ThinLockImpl::inflate().
+    uint64_t HintInflations = 0;
     uint64_t Deflations = 0;
     uint64_t EmergencyInflations = 0;
     uint64_t TimedOutAcquisitions = 0;
@@ -81,8 +83,12 @@ public:
       return Wakes == 0 ? 0 : WakeNanosTotal / Wakes;
     }
 
+    /// Every inflation, whatever its cause.  Each one allocated a
+    /// monitor (or fell back to the emergency monitor), so without
+    /// exhaustion inflations() - Deflations is the live monitor count.
     uint64_t inflations() const {
-      return ContentionInflations + OverflowInflations + WaitInflations;
+      return ContentionInflations + OverflowInflations + WaitInflations +
+             HintInflations;
     }
 
     /// \returns bucket \p Bucket as a fraction of all acquisitions (0
@@ -110,6 +116,7 @@ public:
   void recordContentionInflation() { ContentionInflations.increment(); }
   void recordOverflowInflation() { OverflowInflations.increment(); }
   void recordWaitInflation() { WaitInflations.increment(); }
+  void recordHintInflation() { HintInflations.increment(); }
   void recordDeflation() { Deflations.increment(); }
   /// Inflation landed on the shared emergency monitor because the
   /// MonitorTable was exhausted (degraded but correct mode).
@@ -147,6 +154,7 @@ public:
     return snapshot().OverflowInflations;
   }
   uint64_t waitInflations() const { return snapshot().WaitInflations; }
+  uint64_t hintInflations() const { return snapshot().HintInflations; }
   uint64_t inflations() const { return snapshot().inflations(); }
   uint64_t deflations() const { return snapshot().Deflations; }
   uint64_t emergencyInflations() const {
@@ -201,6 +209,7 @@ private:
   StatsCounter ContentionInflations;
   StatsCounter OverflowInflations;
   StatsCounter WaitInflations;
+  StatsCounter HintInflations;
   StatsCounter Deflations;
   StatsCounter EmergencyInflations;
   StatsCounter TimedOutAcquisitions;

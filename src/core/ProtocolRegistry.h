@@ -85,7 +85,9 @@ public:
   /// Non-null only for protocols backed by the shared MonitorTable
   /// (pressure signals for admission control).
   virtual MonitorTable *monitorTable() { return nullptr; }
-  /// Non-null only for the thin-lock manager (adaptive-policy wiring).
+  /// Non-null only for the thin-lock manager, the one protocol that
+  /// records into ProtocolConfig::Stats; callers check it before reading
+  /// those counters.
   virtual ThinLockManager *thinLocks() { return nullptr; }
 
   /// Per-protocol stats snapshot as a JSON object literal ("" if none).

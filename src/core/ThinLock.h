@@ -49,7 +49,6 @@
 #include "heap/Object.h"
 #include "obs/EventRing.h"
 #include "park/ParkingLot.h"
-#include "policy/PolicyStore.h"
 #include "support/Compiler.h"
 #include "support/FailPoint.h"
 #include "support/Fatal.h"
@@ -131,14 +130,6 @@ public:
 
   static const char *protocolName() { return Policy::Name; }
 
-  /// Wires the adaptive policy engine's decision store into the SLOW
-  /// paths (the contended-acquire loop's spin-class selection, eager
-  /// inflation, the KeepFat deflation veto).  The fast paths never
-  /// consult it — the invariant tools/lint/fastpath_guard.py proves.
-  /// Null (the default) restores purely static behavior.  \p Store must
-  /// outlive this manager's last use.
-  void setPolicyStore(const policy::PolicyStore *Store) { Policies = Store; }
-
   /// Acquires \p Obj's monitor for \p Thread (recursively if already
   /// held).  The paper's 17-instruction fast path is the inline portion.
   TL_ALWAYS_INLINE void lock(Object *Obj, const ThreadContext &Thread) {
@@ -214,11 +205,7 @@ public:
     uint32_t Shifted = Thread.shiftedIndex();
     if (lockword::isFat(Value)) {
       FatLock *Fat = Monitors.resolve(Value);
-      // KeepFat is the policy engine's veto on quiescent deflation: the
-      // profiler saw this object thrash thin<->fat, so retiring its
-      // monitor would only buy the next contention burst an inflation.
-      if (Deflation == DeflationPolicy::Never ||
-          TL_UNLIKELY(policyFor(Obj).KeepFat)) {
+      if (Deflation == DeflationPolicy::Never) {
         bool Ok = Fat->unlockChecked(Thread);
         if (Ok && Stats)
           Stats->recordRelease();
@@ -328,10 +315,8 @@ public:
                              DeadlockReport *Report = nullptr) {
     assert(Thread.isValid() && "locking with an unattached thread");
     // Uncontended / recursive cases never need the deadline machinery.
-    if (tryLock(Obj, Thread)) {
-      maybeEagerInflate(Obj, Thread);
+    if (tryLock(Obj, Thread))
       return TimedLockStatus::Acquired;
-    }
     // Even a saturated deadline stays a deadline: only lock() waits
     // without bound, under the watchdog that may end the process.
     const auto Deadline =
@@ -425,16 +410,19 @@ public:
   /// the monitor (asserted).  Idempotent once fat.  Use for objects known
   /// to be contended soon — the inflation then happens off the contention
   /// path — and for driving the inflation machinery directly
-  /// (bench_inflation_storm).  Not one of the paper's three inflation
-  /// causes, so it is deliberately not recorded in LockStats.
+  /// (bench_inflation_storm).  Counted as LockStats' hint inflations.
   FatLock *inflate(Object *Obj, const ThreadContext &Thread) {
     uint32_t Value = Obj->lockWord().load(std::memory_order_relaxed);
     if (lockword::isFat(Value))
       return Monitors.resolve(Value);
     assert(lockword::isThinOwnedBy(Value, Thread.shiftedIndex()) &&
            "inflate hint on a monitor the thread does not own");
-    return inflateOwned(Obj, Thread, Value, lockword::countOf(Value) + 1,
-                        obs::InflateCause::Hint);
+    FatLock *Fat = inflateOwned(Obj, Thread, Value,
+                                lockword::countOf(Value) + 1,
+                                obs::InflateCause::Hint);
+    if (Stats)
+      Stats->recordHintInflation();
+    return Fat;
   }
 
   /// Out-of-line entry points for the paper's "FnCall" variant (§3.5):
@@ -634,10 +622,7 @@ private:
     const bool Bounded = Deadline != Unbounded;
     std::atomic<uint32_t> &Word = Obj->lockWord();
     uint32_t Shifted = Thread.shiftedIndex();
-    // Adaptive spin class: contenders on an object the policy engine has
-    // classified escalate on its ladder instead of the static one.
-    const policy::LockPolicy Pol = policyFor(Obj);
-    SpinWait Spinner(policy::spinPolicyFor(Pol.Spin, Options.Spin));
+    SpinWait Spinner(Options.Spin);
     BlockedOnScope Blocked(Thread, Obj);
     uint64_t ParksAtLastCheck = 0;
     const bool Tracing = obs::tracingEnabled();
@@ -697,9 +682,8 @@ private:
           Policy::afterAcquireFence();
           // §2.3.4: another thread held the lock; by the locality-of-
           // contention principle, inflate now so future contention uses
-          // the fat lock's queues.  EagerInflate: the policy engine
-          // already knows this object re-inflates, so skip the thin dance.
-          if (SawContention || Pol.EagerInflate) {
+          // the fat lock's queues.
+          if (SawContention) {
             inflateOwned(Obj, Thread, Old | Shifted, 1,
                          obs::InflateCause::Contention);
             if (TL_UNLIKELY(Tracing))
@@ -807,31 +791,6 @@ private:
     return Fat;
   }
 
-  /// The adaptive decision for \p Obj, or all-defaults when no store is
-  /// wired (the common case — one predictable branch).  Slow paths only.
-  policy::LockPolicy policyFor(const Object *Obj) const {
-    if (TL_LIKELY(Policies == nullptr))
-      return policy::LockPolicy();
-    return Policies->forObject(reinterpret_cast<uint64_t>(Obj),
-                               Obj->classIndex());
-  }
-
-  /// EagerInflate's deterministic trigger: after a successful slow-path
-  /// acquisition that left the word thin, a decided object goes fat
-  /// immediately — the engine has seen it re-inflate enough times that
-  /// the thin contention dance is pure overhead.
-  void maybeEagerInflate(Object *Obj, const ThreadContext &Thread) {
-    if (TL_LIKELY(Policies == nullptr))
-      return;
-    uint32_t Value = Obj->lockWord().load(std::memory_order_relaxed);
-    if (!lockword::isThinOwnedBy(Value, Thread.shiftedIndex()))
-      return; // Already fat (or emergency-shared): nothing to do.
-    if (!policyFor(Obj).EagerInflate)
-      return;
-    inflateOwned(Obj, Thread, Value, lockword::countOf(Value) + 1,
-                 obs::InflateCause::Hint);
-  }
-
   NotifyStatus notifyImpl(Object *Obj, const ThreadContext &Thread,
                           bool All) {
     uint32_t Value = Obj->lockWord().load(std::memory_order_relaxed);
@@ -861,9 +820,6 @@ private:
   LockStats *Stats;
   DeflationPolicy Deflation;
   ContentionOptions Options;
-  /// Adaptive decisions consulted by the slow paths; null = static
-  /// behavior.  See setPolicyStore().
-  const policy::PolicyStore *Policies = nullptr;
 };
 
 /// The shipping configuration (paper §3.5.1): per-operation dynamic

@@ -156,19 +156,6 @@ bool FatLock::isRetired() const {
   return Retired;
 }
 
-bool FatLock::retireIfQuiescent() {
-  LockGuard Guard(Mu);
-  if (Retired || Pinned || Owner != 0 || EntryHead != nullptr ||
-      ThreadsInWait != 0)
-    return false;
-  // Owner == 0 makes this mutually exclusive with unlockAndTryRetire
-  // (which requires ownership), and an empty entry queue means no
-  // handoff claim is outstanding: nobody can acquire this monitor
-  // except through lockIfLiveFor(), which now rejects it.
-  Retired = true;
-  return true;
-}
-
 bool FatLock::tryLock(const ThreadContext &Thread) {
   TryResult Result = tryLockStatus(Thread);
   assert(Result != TryResult::Retired &&

@@ -104,15 +104,6 @@ public:
   /// \returns true once the monitor has been retired by deflation.
   bool isRetired() const TL_EXCLUDES(Mu);
 
-  /// Third-party retirement for the adaptive engine's speculative
-  /// deflation scan: retires the monitor iff it is fully quiescent
-  /// (unowned, empty entry queue, no waiters, not pinned, not already
-  /// retired).  Unlike unlockAndTryRetire() the caller is NOT the owner
-  /// — quiescence is the entire claim.  On success the caller owns
-  /// re-publishing the object's thin lock word, exactly as with
-  /// ReleaseResult::RetiredNow.
-  bool retireIfQuiescent() TL_EXCLUDES(Mu);
-
   /// Attempts to acquire without blocking.  Fails if another thread owns
   /// the monitor or if threads are queued ahead.
   bool tryLock(const ThreadContext &Thread) TL_EXCLUDES(Mu);

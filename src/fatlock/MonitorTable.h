@@ -126,8 +126,8 @@ public:
     return ExhaustionEvents.load(std::memory_order_relaxed);
   }
 
-  /// Records one monitor retirement (owner-path quiescent deflation or
-  /// the adaptive engine's speculative scan).  Indices are never reused,
+  /// Records one monitor retirement (the final owner's quiescent
+  /// deflation in ThinLockImpl::unlockChecked).  Indices are never reused,
   /// so this is a ledger, not a free-list: occupancy() stays monotone
   /// and this counter says how much of it is retired husks.
   void noteRetirement() {

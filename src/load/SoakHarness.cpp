@@ -99,7 +99,7 @@ public:
                      ? Config.RegistryCapacity
                      : ThreadRegistry::MaxThreadIndex),
         Protocol(makeProtocol(Config, Stats)),
-        Monitors(Protocol->monitorTable()), Thin(Protocol->thinLocks()),
+        Monitors(Protocol->monitorTable()),
         Workload(Protocol->sync(), TheHeap, Registry, Config.HotObjects,
                  Config.ZipfTheta, Config.Session),
         Collector(Registry), Controller(Config.Limits) {
@@ -107,15 +107,6 @@ public:
       Chaos = buildChaosSchedule(Config.ChaosSeed);
     ChaosArmed.assign(Chaos.size(), false);
     ChaosDone.assign(Chaos.size(), false);
-    if (Config.AdaptivePolicy) {
-      if (!Thin || !Monitors)
-        fatalError("soak: AdaptivePolicy steers thin-lock header "
-                   "policies; protocol '%s' has none",
-                   Protocol->name());
-      Engine = std::make_unique<policy::AdaptivePolicyEngine>(
-          Collector, *Monitors, Config.Policy);
-      Thin->setPolicyStore(&Engine->policyStore());
-    }
   }
 
   SoakResult run();
@@ -137,16 +128,13 @@ private:
   LockStats Stats;
   /// Owns the protocol under load plus its substrate (type-erased).
   std::unique_ptr<ProtocolHandle> Protocol;
-  /// Capability views into *Protocol; null when the protocol lacks the
-  /// substrate (only ThinLock has a MonitorTable / policy store).
+  /// Capability view into *Protocol; null when the protocol has no
+  /// MonitorTable substrate.
   MonitorTable *Monitors = nullptr;
-  ThinLockManager *Thin = nullptr;
   Heap TheHeap;
   SessionWorkload Workload;
   obs::LockEventCollector Collector;
   AdmissionController Controller;
-  /// Present only when Config.AdaptivePolicy; ticked by the ticker.
-  std::unique_ptr<policy::AdaptivePolicyEngine> Engine;
 
   uint64_t T0 = 0;
   uint64_t DurationNanos = 0;
@@ -309,14 +297,6 @@ void SoakRun::updateChaos(double Frac) {
 }
 
 void SoakRun::tickerLoop() {
-  // The adaptive engine records its decisions into the ticker's event
-  // ring so they land in the same timeline as the contention they
-  // answer; attach only when the engine exists, so non-adaptive runs
-  // keep their registry occupancy (some chaos configs size it tightly).
-  std::unique_ptr<ScopedThreadAttachment> Attach;
-  if (Engine)
-    Attach = std::make_unique<ScopedThreadAttachment>(Registry,
-                                                      "soak-ticker");
   for (;;) {
     {
       UniqueLock Guard(TickMu);
@@ -361,14 +341,7 @@ void SoakRun::tickerLoop() {
     }
     // Sampling drain: rings keep only their newest events once they
     // wrap, so the profile must be collected while the load runs.
-    // (Engine->tick drains internally; keep the drain unconditional so
-    // non-adaptive runs still sample.)
-    if (Engine)
-      Engine->tick(Attach && Attach->context().isValid()
-                       ? &Attach->context()
-                       : nullptr);
-    else
-      Collector.drain();
+    Collector.drain();
   }
 }
 
@@ -502,8 +475,6 @@ SoakResult SoakRun::finish(uint64_t RunNanos) {
   Result.AttachFallbacks = AttachFallbacks;
   Result.EventsDropped = Collector.droppedEvents();
   Result.ChaosPhasesRun = ChaosPhasesRun;
-  if (Engine)
-    Result.Policy = Engine->counters();
   Result.MonitorRetirements = Monitors ? Monitors->retirementEvents() : 0;
   Result.ProtocolStatsJson = Protocol->statsJson();
 

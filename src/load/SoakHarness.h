@@ -38,7 +38,6 @@
 #include "load/AdmissionController.h"
 #include "load/SessionWorkload.h"
 #include "obs/SloSnapshot.h"
-#include "policy/AdaptivePolicyEngine.h"
 
 #include <cstdint>
 #include <string>
@@ -91,16 +90,6 @@ struct SoakConfig {
   uint64_t ChaosSeed = 7;
   /// Worst-tail fraction exported as Chrome "session" spans.
   double WorstFraction = 0.01;
-  /// Close the profiler->policy loop: run an AdaptivePolicyEngine off
-  /// the controller's tick cadence and wire its decision store into the
-  /// lock slow paths.  Thin-lock only: the engine steers header-word
-  /// policies, so enabling it with any other Protocol is a fatal
-  /// configuration error (callers pre-validate; see bench_soak).
-  bool AdaptivePolicy = false;
-  /// Engine tuning when AdaptivePolicy is on.  The harness owns its
-  /// heap and every session object outlives the run, so enabling
-  /// Policy.SpeculativeDeflation here is safe.
-  policy::PolicyConfig Policy;
 };
 
 /// Everything a run produced.
@@ -125,11 +114,9 @@ struct SoakResult {
   uint64_t EventsDropped = 0;
   /// Chaos phases actually armed (0 when Chaos off or not compiled in).
   uint64_t ChaosPhasesRun = 0;
-  /// Adaptive engine ledger (all zeros when AdaptivePolicy is off).
-  policy::PolicyCounters Policy;
-  /// Monitors retired by deflation over the run (owner-path quiescent
-  /// retirement plus the engine's speculative scan).  Zero for
-  /// protocols without a MonitorTable.
+  /// Monitors retired by quiescent deflation over the run (the final
+  /// owner's release retires an idle monitor).  Zero for protocols
+  /// without a MonitorTable.
   uint64_t MonitorRetirements = 0;
   /// The protocol's own stats snapshot as a JSON object literal ("" for
   /// protocols without the statsJson capability).

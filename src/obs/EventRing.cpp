@@ -35,8 +35,6 @@ const char *thinlocks::obs::eventKindName(EventKind Kind) {
     return "notify-all";
   case EventKind::Deadlock:
     return "deadlock";
-  case EventKind::PolicyDecision:
-    return "policy-decision";
   }
   return "unknown";
 }

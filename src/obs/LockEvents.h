@@ -62,10 +62,6 @@ enum class EventKind : uint8_t {
   /// The owner-graph walker double-confirmed a waits-for cycle through
   /// the recording thread.  Extra = cycle length (threads).
   Deadlock,
-  /// The adaptive policy engine published or expired a decision.
-  /// Arg = packed LockPolicy; Extra bit 0 = published (0 = erased),
-  /// bit 1 = class-level decision (ObjectAddr is 0 for those).
-  PolicyDecision,
 };
 
 /// Why a lock inflated (the Arg of EventKind::Inflate).  The first three

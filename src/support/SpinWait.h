@@ -71,21 +71,6 @@ struct SpinPolicy {
 /// ladder means editing this policy, not hunting per-call-site copies.
 inline constexpr SpinPolicy DefaultSpinPolicy{};
 
-/// Deeper ladder for objects the adaptive policy engine has classified
-/// fast-release (small mean blocked time per contended acquire): more
-/// pause-heavy rounds and a later park rung, because the owner is about
-/// to release and a park round trip would cost more than the extra spin.
-inline constexpr SpinPolicy DeepSpinPolicy{/*YieldThresholdRound=*/6,
-                                           /*ParkThresholdRound=*/16,
-                                           /*MaxPausesPerRound=*/128};
-
-/// Shallow ladder for convoy-prone objects (large mean blocked time):
-/// yield almost immediately and reach the park rung within a few rounds
-/// — spinning burns CPU the descheduled owner needs to release at all.
-inline constexpr SpinPolicy ParkEarlySpinPolicy{/*YieldThresholdRound=*/1,
-                                                /*ParkThresholdRound=*/3,
-                                                /*MaxPausesPerRound=*/16};
-
 /// Truncated exponential backoff with yield and park escalation.  Call
 /// spinOnce() each time the guarded condition is observed false.
 class SpinWait {

@@ -24,8 +24,8 @@ ThreadRegistry::ThreadRegistry(uint16_t Capacity)
       Cap(Capacity == 0 ? 1
                         : (Capacity > MaxThreadIndex ? MaxThreadIndex
                                                      : Capacity)) {
-  for (auto &Slot : Slots)
-    Slot.store(nullptr, std::memory_order_relaxed);
+  // Slots needs no clearing pass: C++20 std::atomic value-initializes,
+  // so the vector constructor already zeroed all of them.
   Storage.resize(Slots.size());
 }
 

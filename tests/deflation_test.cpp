@@ -13,15 +13,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/ProtocolRegistry.h"
 #include "core/ThinLock.h"
 #include "heap/Heap.h"
+#include "load/SessionWorkload.h"
 #include "threads/ThreadRegistry.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <functional>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 using namespace thinlocks;
@@ -234,3 +238,84 @@ TEST_F(DeflationTest, HeaderBitsSurviveManyCycles) {
   }
   EXPECT_EQ(Stats.deflations(), 25u);
 }
+
+TEST(DeflationLedgerTest, InflationsMinusDeflationsAreTheLiveMonitors) {
+  // Every inflation allocates one monitor and every deflation retires
+  // one, so the LockStats ledger and the MonitorTable ledger must agree
+  // after a sessions-style run that inflates by wait and by hint and
+  // deflates at quiescence.
+  LockStats Stats;
+  ProtocolConfig Config;
+  Config.DeflateWhenQuiescent = true;
+  Config.Stats = &Stats;
+  std::unique_ptr<ProtocolHandle> Handle = createProtocol("ThinLock", Config);
+  ASSERT_NE(Handle, nullptr);
+  MonitorTable *Monitors = Handle->monitorTable();
+  ASSERT_NE(Monitors, nullptr);
+  Heap TheHeap;
+  ThreadRegistry Registry;
+  load::SessionWorkload Workload(Handle->sync(), TheHeap, Registry,
+                                 /*HotObjects=*/16, /*ZipfTheta=*/0.8);
+  {
+    ScopedThreadAttachment Worker(Registry);
+    SplitMix64 Rng(1);
+    LatencyHistogram Acquire;
+    for (int I = 0; I < 40; ++I)
+      Workload.run(Worker.context(), Rng, /*Heavy=*/I % 2 == 0,
+                   /*Degraded=*/false, Acquire);
+  }
+  LockStats::Snapshot S = Stats.snapshot();
+  EXPECT_GT(S.HintInflations, 0u);
+  EXPECT_GT(S.Deflations, 0u);
+  ASSERT_GE(S.inflations(), S.Deflations);
+  EXPECT_EQ(S.inflations() - S.Deflations,
+            Monitors->liveMonitorCount() - Monitors->retirementEvents());
+}
+
+using obs::InflateCause;
+using InflationLedgerTest =
+    ::testing::TestWithParam<std::tuple<InflateCause, DeflationPolicy>>;
+
+TEST_P(InflationLedgerTest, OneInflationThenFullRelease) {
+  // Counted by cause, retired only at quiescence, ledgers in step.
+  auto [Cause, Deflation] = GetParam();
+  Heap TheHeap;
+  ThreadRegistry Registry;
+  MonitorTable Monitors;
+  LockStats Stats;
+  ThinLockManager Locks(Monitors, &Stats, Deflation);
+  Object *Obj = TheHeap.allocate(TheHeap.classes().registerClass("L", 0));
+  ScopedThreadAttachment Attachment(Registry);
+  const ThreadContext &Me = Attachment.context();
+  const int Holds = Cause == InflateCause::Overflow ? 257 : 1;
+  for (int I = 0; I < Holds; ++I)
+    Locks.lock(Obj, Me);
+  if (Cause == InflateCause::Hint)
+    Locks.inflate(Obj, Me);
+  if (Cause == InflateCause::Wait)
+    Locks.wait(Obj, Me, /*TimeoutNanos=*/100'000);
+  for (int I = 0; I < Holds; ++I)
+    Locks.unlock(Obj, Me);
+  LockStats::Snapshot S = Stats.snapshot();
+  EXPECT_EQ(S.HintInflations, Cause == InflateCause::Hint ? 1u : 0u);
+  EXPECT_EQ(S.OverflowInflations, Cause == InflateCause::Overflow ? 1u : 0u);
+  EXPECT_EQ(S.WaitInflations, Cause == InflateCause::Wait ? 1u : 0u);
+  const bool Retires = Deflation == DeflationPolicy::WhenQuiescent;
+  EXPECT_EQ(Locks.isInflated(Obj), !Retires);
+  EXPECT_EQ(S.Deflations, Retires ? 1u : 0u);
+  EXPECT_EQ(S.inflations() - S.Deflations,
+            Monitors.liveMonitorCount() - Monitors.retirementEvents());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CausesAndPolicies, InflationLedgerTest,
+    ::testing::Combine(::testing::Values(InflateCause::Hint,
+                                         InflateCause::Overflow,
+                                         InflateCause::Wait),
+                       ::testing::Values(DeflationPolicy::Never,
+                                         DeflationPolicy::WhenQuiescent)),
+    [](const auto &Info) {
+      return std::string(obs::inflateCauseName(std::get<0>(Info.param))) +
+             (std::get<1>(Info.param) == DeflationPolicy::Never ? "_never"
+                                                                : "_quiescent");
+    });

@@ -53,6 +53,28 @@ TEST(Heap, SlotsStartZeroedAndReadBack) {
   EXPECT_EQ(Obj->slot(2), UINT64_MAX);
 }
 
+TEST(Heap, RacySlotAccessNeverTears) {
+  // A racy field access is legal (if unordered) Java, so a reader
+  // racing a writer must see one written value whole, never a mix.
+  Heap TheHeap;
+  Object *Obj = TheHeap.allocate(TheHeap.classes().registerClass("R", 1));
+  constexpr uint64_t A = 0x0123456789ABCDEFull, B = ~A;
+  Obj->setSlot(0, A);
+  std::atomic<bool> Done{false};
+  std::thread Writer([&] {
+    for (int I = 0; I < 20000; ++I)
+      Obj->setSlot(0, (I & 1) ? B : A);
+    Done.store(true);
+  });
+  uint64_t Torn = 0;
+  while (!Done.load()) {
+    uint64_t Value = Obj->slot(0);
+    Torn += Value != A && Value != B;
+  }
+  Writer.join();
+  EXPECT_EQ(Torn, 0u);
+}
+
 TEST(Heap, SlotArrayIsAligned) {
   Heap TheHeap;
   const ClassInfo &Class = TheHeap.classes().registerClass("A", 1);

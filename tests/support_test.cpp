@@ -484,6 +484,25 @@ TEST(SpinWait, NoYieldInEarlyRounds) {
   EXPECT_EQ(Spinner.totalYields(), 0u);
 }
 
+TEST(SpinWait, DefaultLadderParksFromItsThresholdRound) {
+  // nextRound() reports the park rung instead of sleeping it out, so the
+  // whole default ladder is checkable without a single sleep.
+  SpinWait Spinner;
+  for (unsigned I = 0; I < DefaultSpinPolicy.ParkThresholdRound; ++I)
+    EXPECT_EQ(Spinner.nextRound(), 0u) << "round " << I;
+  EXPECT_FALSE(Spinner.isParking());
+  EXPECT_EQ(Spinner.totalYields(), DefaultSpinPolicy.ParkThresholdRound -
+                                       DefaultSpinPolicy.YieldThresholdRound);
+  EXPECT_EQ(Spinner.nextRound(), DefaultSpinPolicy.MinParkNanos);
+  EXPECT_EQ(Spinner.nextRound(), 2 * DefaultSpinPolicy.MinParkNanos);
+  EXPECT_TRUE(Spinner.isParking());
+  uint64_t Last = 0;
+  for (int I = 0; I < 16; ++I)
+    Last = Spinner.nextRound();
+  EXPECT_EQ(Last, DefaultSpinPolicy.MaxParkNanos);
+  EXPECT_EQ(Spinner.totalParks(), 18u);
+}
+
 //===----------------------------------------------------------------------===//
 // TableFormatter
 //===----------------------------------------------------------------------===//

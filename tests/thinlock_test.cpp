@@ -200,6 +200,53 @@ TYPED_TEST(ThinLockTypedTest, FatPathLockingStillRecursive) {
   EXPECT_FALSE(this->Locks.holdsLock(Obj, this->Main));
 }
 
+TYPED_TEST(ThinLockTypedTest, HintInflationKeepsTheHolds) {
+  // The monitor takes over all three thin holds, counted as one hint.
+  Object *Obj = this->newObject();
+  for (int I = 0; I < 3; ++I)
+    this->Locks.lock(Obj, this->Main);
+  this->Locks.inflate(Obj, this->Main);
+  EXPECT_TRUE(this->Locks.isInflated(Obj));
+  EXPECT_EQ(this->Locks.lockDepth(Obj, this->Main), 3u);
+  EXPECT_EQ(this->Stats.hintInflations(), 1u);
+  this->Locks.unlock(Obj, this->Main);
+  this->Locks.unlock(Obj, this->Main);
+  EXPECT_TRUE(this->Locks.holdsLock(Obj, this->Main));
+  this->Locks.unlock(Obj, this->Main);
+  EXPECT_FALSE(this->Locks.holdsLock(Obj, this->Main));
+}
+
+TYPED_TEST(ThinLockTypedTest, HintInflatedLockStillExcludes) {
+  Object *Obj = this->newObject();
+  this->Locks.lock(Obj, this->Main);
+  this->Locks.inflate(Obj, this->Main);
+  auto OtherTryLock = [&] {
+    ScopedThreadAttachment Attachment(this->Registry, "other");
+    bool Acquired = this->Locks.tryLock(Obj, Attachment.context());
+    if (Acquired)
+      this->Locks.unlock(Obj, Attachment.context());
+    return Acquired;
+  };
+  bool WhileHeld = true, AfterRelease = false;
+  std::thread([&] { WhileHeld = OtherTryLock(); }).join();
+  this->Locks.unlock(Obj, this->Main);
+  std::thread([&] { AfterRelease = OtherTryLock(); }).join();
+  EXPECT_FALSE(WhileHeld);
+  EXPECT_TRUE(AfterRelease);
+}
+
+TYPED_TEST(ThinLockTypedTest, UncontendedTimedAcquireStaysThin) {
+  // No contender: tryLockFor is tryLock, recursion included.
+  Object *Obj = this->newObject();
+  for (int I = 0; I < 2; ++I)
+    ASSERT_EQ(this->Locks.tryLockFor(Obj, this->Main, 1'000'000),
+              TimedLockStatus::Acquired);
+  EXPECT_FALSE(this->Locks.isInflated(Obj));
+  this->Locks.unlock(Obj, this->Main);
+  this->Locks.unlock(Obj, this->Main);
+  EXPECT_EQ(this->Monitors.liveMonitorCount(), 0u);
+}
+
 TYPED_TEST(ThinLockTypedTest, UnlockCheckedRejectsNonOwnerAndUnlocked) {
   Object *Obj = this->newObject();
   EXPECT_FALSE(this->Locks.unlockChecked(Obj, this->Main));
@@ -440,6 +487,21 @@ TEST_F(ThinLockStatsTest, CountsTryLockForContentionInflation) {
   EXPECT_EQ(Stats.inflations(), 1u);
   EXPECT_TRUE(Locks.isInflated(Obj));
   EXPECT_EQ(Stats.timedOutAcquisitions(), 0u);
+}
+
+TEST_F(ThinLockStatsTest, CountsHintInflation) {
+  // The explicit pre-inflation API allocates a monitor like any other
+  // cause, so it must be counted: otherwise a hinted object that later
+  // deflates reports more deflations than inflations.
+  Object *Obj = TheHeap.allocate(*Class);
+  Locks.lock(Obj, Main);
+  Locks.inflate(Obj, Main);
+  Locks.inflate(Obj, Main); // Idempotent once fat: no second inflation.
+  Locks.unlock(Obj, Main);
+  EXPECT_TRUE(Locks.isInflated(Obj));
+  EXPECT_EQ(Stats.hintInflations(), 1u);
+  EXPECT_EQ(Stats.inflations(), 1u);
+  EXPECT_EQ(Monitors.liveMonitorCount(), 1u);
 }
 
 TEST_F(ThinLockStatsTest, SummaryMentionsKeyCounters) {

@@ -21,9 +21,9 @@ checks, in order of severity:
      baseline * throughput-tolerance, and shed_rate may not rise more
      than --shed-slack above baseline.
 
-Config fields that shape the workload (offered rate, workers, chaos,
-adaptive) must match between the two documents — comparing an adaptive
-run against a static baseline would "regress" by design.  duration_s is
+Config fields that shape the workload (offered rate, workers, chaos)
+must match between the two documents — comparing a chaos run against a
+clean baseline would "regress" by design.  duration_s is
 deliberately NOT matched: the nightly runs longer than the committed
 baseline, and every compared metric is either a quantile or already
 normalized per second.
@@ -40,7 +40,7 @@ ERROR_COUNTERS = (
     "registry_exhaustion_events",
     "emergency_inflations",
 )
-MATCHED_CONFIG = ("rate_per_s", "workers", "chaos", "adaptive")
+MATCHED_CONFIG = ("rate_per_s", "workers", "chaos")
 JITTER_FLOOR_NS = 1_000
 
 
@@ -125,11 +125,6 @@ def main():
     print(f"{'metric':<{width}}  {'baseline':>12}  {'candidate':>12}  limit")
     for name, b, c, limit in rows:
         print(f"{name:<{width}}  {b:>12}  {c:>12}  {limit}")
-
-    if "policy" in cand:
-        pol = cand["policy"]
-        print("\npolicy engine (informational): " + ", ".join(
-            f"{k}={pol[k]}" for k in sorted(pol)))
 
     if regressions:
         print(f"\n{len(regressions)} SLO regression(s) vs {args.baseline}:",
