@@ -17,7 +17,7 @@
 // commit/abort counts split by cause, commit throughput, and the
 // abort-latency p99.
 //
-// Self-checking like bench_matrix: the grid must cover all 5 protocols
+// Self-checking: the grid must cover all 5 protocols
 // x 3 policies, every cell must satisfy `started == committed +
 // aborted`, commit at least once, and report zero serializability
 // violations, or the binary exits non-zero.

@@ -23,18 +23,19 @@
 #   BENCH_OUT_DIR   where the merged BENCH_*.json land (default: repo
 #                   root).  Used by tests to exercise the script against
 #                   stub binaries without touching the committed files.
-#   BENCH_TRACE=1   also run macro_trace (if built) and stage
-#                   BENCH_trace.json, a Chrome trace_event artifact of a
-#                   traced macro replay (see DESIGN.md §10).
-#   BENCH_MATRIX=1  also run bench_matrix (every registered protocol x
-#                   the shared workload battery, DESIGN.md §14) and stage
-#                   BENCH_matrix.json; BENCH_MATRIX_ARGS overrides the
-#                   default (full-size) profile, e.g. --smoke.
+#   BENCH_TRACE=1   also run macro_trace and stage BENCH_trace.json, a
+#                   Chrome trace_event artifact of a traced macro replay
+#                   (see DESIGN.md §10).
+#   BENCH_SOAK=1    also run bench_soak and stage BENCH_soak.json, the
+#                   nightly soak's SLO baseline (DESIGN.md §12);
+#                   BENCH_SOAK_ARGS overrides the default --duration-s
+#                   180, e.g. --smoke.
 #   BENCH_TXN=1     also run bench_txn (every registered protocol x every
 #                   conflict policy through the transactional scenario
 #                   engine, DESIGN.md §15) and stage BENCH_txn.json;
 #                   BENCH_TXN_ARGS overrides the default (full-size)
 #                   profile, e.g. --smoke.
+# An opted-in binary that is not built is a hard error, not a skip.
 #
 # Every suite must have been built with NDEBUG (the bench preset): the
 # merge refuses to publish a document whose thinlocks_build_type context
@@ -153,108 +154,38 @@ CONTENTION_INPUTS=(); for S in "${CONTENTION_SUITES[@]}"; do CONTENTION_INPUTS+=
 merge BENCH_fastpath.json "${FASTPATH_INPUTS[@]}"
 merge BENCH_contention.json "${CONTENTION_INPUTS[@]}"
 
-# Optional tracing artifact: a Chrome trace of one traced macro replay
-# plus the hot-lock table on stderr.  Staged with the same all-or-nothing
-# discipline.
-if [ "${BENCH_TRACE:-0}" != 0 ]; then
-  if [ ! -x "$BUILD_DIR/bench/macro_trace" ]; then
-    echo "error: BENCH_TRACE=1 but $BUILD_DIR/bench/macro_trace is not built." >&2
+# The optional artifacts, each opted into by its own variable.  stage()
+# refuses if the opted-in binary is not built, runs it with --out into
+# the staging dir, applies the artifact's schema gate, and queues the
+# file for the all-or-nothing publish below — a failed run or a refused
+# document publishes nothing.
+#   stage VAR BINARY ARTIFACT GATE [ARGS...]
+stage() {
+  local Var="$1" Bin="$2" Name="$3" Gate="$4"; shift 4
+  [ "${!Var:-0}" != 0 ] || return 0
+  if [ ! -x "$BUILD_DIR/bench/$Bin" ]; then
+    echo "error: $Var=1 but $BUILD_DIR/bench/$Bin is not built." >&2
     exit 1
   fi
-  echo "== macro_trace" >&2
-  if ! "$BUILD_DIR/bench/macro_trace" --out "$TMP/staged/BENCH_trace.json" >&2; then
-    echo "error: macro_trace failed; aborting without touching the" \
+  echo "== $Bin" >&2
+  if ! "$BUILD_DIR/bench/$Bin" "$@" --out "$TMP/staged/$Name" >&2; then
+    echo "error: $Bin failed; aborting without touching the" \
          "committed BENCH_*.json files." >&2
     exit 1
   fi
-  STAGED+=(BENCH_trace.json)
-fi
-
-# Optional sustained-load soak artifact: SLO quantiles, admission-ladder
-# residency, and typed-error accounting from one self-checking bench_soak
-# run (BENCH_SOAK_ARGS overrides the default profile, e.g. a longer
-# --duration-s or --chaos against a failpoints build).  Staged with the
-# same all-or-nothing discipline — a failed self-check publishes nothing.
-if [ "${BENCH_SOAK:-0}" != 0 ]; then
-  if [ ! -x "$BUILD_DIR/bench/bench_soak" ]; then
-    echo "error: BENCH_SOAK=1 but $BUILD_DIR/bench/bench_soak is not built." >&2
-    exit 1
-  fi
-  echo "== bench_soak" >&2
-  # shellcheck disable=SC2086  # word-splitting of the args is the point
-  if ! "$BUILD_DIR/bench/bench_soak" ${BENCH_SOAK_ARGS:---duration-s 10} \
-       --out "$TMP/staged/BENCH_soak.json" >&2; then
-    echo "error: bench_soak failed; aborting without touching the" \
-         "committed BENCH_*.json files." >&2
-    exit 1
-  fi
-  STAGED+=(BENCH_soak.json)
-fi
-
-# Optional cross-protocol matrix artifact: every registered protocol
-# through the same workload battery (bench_matrix is self-checking; a
-# failed grid publishes nothing).  The schema gate below mirrors the
-# merge()'s build-type refusal: a debug matrix never lands.
-if [ "${BENCH_MATRIX:-0}" != 0 ]; then
-  if [ ! -x "$BUILD_DIR/bench/bench_matrix" ]; then
-    echo "error: BENCH_MATRIX=1 but $BUILD_DIR/bench/bench_matrix is not built." >&2
-    exit 1
-  fi
-  echo "== bench_matrix" >&2
-  # shellcheck disable=SC2086  # word-splitting of the args is the point
-  if ! "$BUILD_DIR/bench/bench_matrix" ${BENCH_MATRIX_ARGS:-} \
-       --out "$TMP/staged/BENCH_matrix.json" >&2; then
-    echo "error: bench_matrix failed; aborting without touching the" \
-         "committed BENCH_*.json files." >&2
-    exit 1
-  fi
-  if ! python3 - "$TMP/staged/BENCH_matrix.json" <<'PYEOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert doc.get("schema") == "thinlocks-bench-matrix-v1", doc.get("schema")
-assert doc.get("build_type") == "release", (
-    f"build_type is {doc.get('build_type')!r}, not 'release' — rebuild "
-    "with the bench preset (cmake --preset bench) before publishing")
-protocols, workloads = doc["protocols"], doc["workloads"]
-assert len(protocols) >= 4, protocols
-assert len(workloads) >= 3, workloads
-rows = doc["rows"]
-assert len(rows) == len(protocols) * len(workloads), len(rows)
-for row in rows:
-    assert row["protocol"] in protocols and row["workload"] in workloads
-    assert row["protocol_impl"] and row["ops"] > 0
-print(f"BENCH_matrix.json ok ({len(protocols)} protocols x "
-      f"{len(workloads)} workloads)")
-PYEOF
-  then
-    echo "error: BENCH_matrix.json failed schema validation; aborting" \
+  if ! "$Gate" "$TMP/staged/$Name"; then
+    echo "error: $Name failed schema validation; aborting" \
          "without touching the committed BENCH_*.json files." >&2
     exit 1
   fi
-  STAGED+=(BENCH_matrix.json)
-fi
+  STAGED+=("$Name")
+}
 
-# Optional transactional-scenario artifact: every registered protocol x
-# every conflict policy (NoWait / WaitDie / Validated) through the txn
-# engine (bench_txn self-checks the grid, the per-cell accounting
-# identity, and the serializability spot-checks; a failed cell publishes
-# nothing).  Same staged all-or-nothing discipline and schema gate.
-if [ "${BENCH_TXN:-0}" != 0 ]; then
-  if [ ! -x "$BUILD_DIR/bench/bench_txn" ]; then
-    echo "error: BENCH_TXN=1 but $BUILD_DIR/bench/bench_txn is not built." >&2
-    exit 1
-  fi
-  echo "== bench_txn" >&2
-  # shellcheck disable=SC2086  # word-splitting of the args is the point
-  if ! "$BUILD_DIR/bench/bench_txn" ${BENCH_TXN_ARGS:-} \
-       --out "$TMP/staged/BENCH_txn.json" >&2; then
-    echo "error: bench_txn failed; aborting without touching the" \
-         "committed BENCH_*.json files." >&2
-    exit 1
-  fi
-  if ! python3 - "$TMP/staged/BENCH_txn.json" <<'PYEOF'
+# bench_txn's schema gate.  bench_txn self-checks the grid, the per-cell
+# accounting identity and the serializability spot-checks; this second
+# parser also refuses a debug build, like merge()'s build-type gate.
+txn_schema() {
+  python3 - "$1" <<'PYEOF'
 import json, sys
 
 with open(sys.argv[1]) as f:
@@ -279,13 +210,22 @@ for row in rows:
 print(f"BENCH_txn.json ok ({len(protocols)} protocols x "
       f"{len(policies)} policies)")
 PYEOF
-  then
-    echo "error: BENCH_txn.json failed schema validation; aborting" \
-         "without touching the committed BENCH_*.json files." >&2
-    exit 1
-  fi
-  STAGED+=(BENCH_txn.json)
-fi
+}
+
+# A Chrome trace of one traced macro replay, plus the hot-lock table on
+# stderr.
+stage BENCH_TRACE macro_trace BENCH_trace.json true
+# SLO quantiles, admission-ladder residency and typed-error accounting
+# from one self-checking soak.  The default length is the nightly soak's
+# own, so the committed baseline and the nightly compare like with like
+# (tools/soak_slo_diff.py refuses runs of different lengths).
+# shellcheck disable=SC2086  # word-splitting of the args is the point
+stage BENCH_SOAK bench_soak BENCH_soak.json true \
+  ${BENCH_SOAK_ARGS:---duration-s 180}
+# Every registered protocol x every conflict policy through the txn
+# engine.
+# shellcheck disable=SC2086
+stage BENCH_TXN bench_txn BENCH_txn.json txn_schema ${BENCH_TXN_ARGS:-}
 
 # Everything succeeded: publish the staged files together.
 for Name in "${STAGED[@]}"; do

@@ -174,53 +174,6 @@ else
   fail "scenario E: a BENCH_*.json was clobbered by a debug-build run"
 fi
 
-#--- Scenario F: BENCH_MATRIX=1 without bench_matrix built -> hard error -#
-OUT_F="$SANDBOX/out-f"
-seed_sentinels "$OUT_F"
-if BENCH_OUT_DIR="$OUT_F" BENCH_MATRIX=1 bash "$RUN_BENCHES" "$BUILD" \
-     >/dev/null 2>&1; then
-  fail "scenario F: missing bench_matrix did not fail BENCH_MATRIX run"
-else
-  pass "scenario F: missing bench_matrix fails BENCH_MATRIX run"
-fi
-if sentinels_untouched "$OUT_F"; then
-  pass "scenario F: committed BENCH_*.json untouched"
-else
-  fail "scenario F: BENCH_*.json clobbered despite matrix failure"
-fi
-
-#--- Scenario G: bench_matrix emits an off-schema grid -> refused --------#
-# A stub bench_matrix writes a syntactically valid document that fails
-# the coverage gate (3 protocols < the 4 the schema requires); the
-# publish must be refused with the sentinels intact.
-OUT_G="$SANDBOX/out-g"
-seed_sentinels "$OUT_G"
-cat >"$BUILD/bench/bench_matrix" <<'STUB'
-#!/usr/bin/env bash
-Out=""
-Prev=""
-for Arg in "$@"; do
-  [ "$Prev" = "--out" ] && Out="$Arg"
-  Prev="$Arg"
-done
-printf '%s\n' '{"schema": "thinlocks-bench-matrix-v1", "build_type": "release", "protocols": ["A", "B", "C"], "workloads": ["w1", "w2", "w3"], "rows": [{"protocol": "A", "protocol_impl": "A", "workload": "w1", "ops": 1, "elapsed_ns": 1, "ns_per_op": 1.0}]}' > "$Out"
-STUB
-chmod +x "$BUILD/bench/bench_matrix"
-BENCH_OUT_DIR="$OUT_G" BENCH_MATRIX=1 bash "$RUN_BENCHES" "$BUILD" \
-  >/dev/null 2>&1
-Status=$?
-rm -f "$BUILD/bench/bench_matrix"
-if [ "$Status" -eq 0 ]; then
-  fail "scenario G: off-schema matrix did not fail the script"
-else
-  pass "scenario G: off-schema matrix refused (status $Status)"
-fi
-if sentinels_untouched "$OUT_G"; then
-  pass "scenario G: committed BENCH_*.json untouched after refusal"
-else
-  fail "scenario G: a BENCH_*.json was clobbered by an off-schema matrix"
-fi
-
 #--- Scenario H: BENCH_TXN failure modes -> hard error, no publish -------#
 # H1: BENCH_TXN=1 without bench_txn built must be a hard error (the
 # opt-in is explicit, so a missing binary is a broken invocation, not a
@@ -267,6 +220,21 @@ if sentinels_untouched "$OUT_H2"; then
   pass "scenario H: committed BENCH_*.json untouched after refusal"
 else
   fail "scenario H: a BENCH_*.json was clobbered by an off-schema txn grid"
+fi
+
+#--- Scenario I: BENCH_SOAK=1 without bench_soak built -> hard error ----#
+OUT_I="$SANDBOX/out-i"
+seed_sentinels "$OUT_I"
+if BENCH_OUT_DIR="$OUT_I" BENCH_SOAK=1 bash "$RUN_BENCHES" "$BUILD" \
+     >/dev/null 2>&1; then
+  fail "scenario I: missing bench_soak did not fail BENCH_SOAK run"
+else
+  pass "scenario I: missing bench_soak fails BENCH_SOAK run"
+fi
+if sentinels_untouched "$OUT_I"; then
+  pass "scenario I: committed BENCH_*.json untouched"
+else
+  fail "scenario I: BENCH_*.json clobbered despite soak failure"
 fi
 
 if [ "$Failures" -ne 0 ]; then

@@ -2,8 +2,7 @@
 """Compare a fresh BENCH_soak.json against the committed baseline.
 
 Usage:
-  tools/soak_slo_diff.py BASELINE CANDIDATE [--quantile-tolerance R]
-                         [--throughput-tolerance R] [--shed-slack S]
+  tools/soak_slo_diff.py BASELINE CANDIDATE
 
 The nightly soak job regenerates the soak trajectory and runs this diff
 against the committed BENCH_soak.json; a regression fails the job.  The
@@ -13,20 +12,19 @@ checks, in order of severity:
      inflations) must be zero in the candidate — these are correctness
      escapes, not noise, so no tolerance applies.
   2. Latency quantiles (p50/p99/p999 of the acquire, session, and wake
-     histograms) may not exceed baseline * quantile-tolerance.  An
+     histograms) may not exceed baseline * QUANTILE_TOLERANCE.  An
      absolute floor of 1us on the *delta* filters scheduler jitter on
      nanosecond-scale values: a 40ns -> 90ns p50 is a 2.25x ratio but
      means nothing on a shared runner.
   3. Throughput (requests_per_s, sessions_per_s) may not fall below
-     baseline * throughput-tolerance, and shed_rate may not rise more
-     than --shed-slack above baseline.
+     baseline * THROUGHPUT_TOLERANCE, and shed_rate may not rise more
+     than SHED_SLACK above baseline.
 
-Config fields that shape the workload (offered rate, workers, chaos)
-must match between the two documents — comparing a chaos run against a
-clean baseline would "regress" by design.  duration_s is
-deliberately NOT matched: the nightly runs longer than the committed
-baseline, and every compared metric is either a quantile or already
-normalized per second.
+Config fields that shape the workload (offered rate, workers, chaos,
+duration) must match between the two documents — a chaos run would
+"regress" against a clean baseline by design, and a p999 over a short
+run's few thousand sessions is a handful of sessions, not the same
+statistic as a long run's.
 """
 
 import argparse
@@ -40,8 +38,11 @@ ERROR_COUNTERS = (
     "registry_exhaustion_events",
     "emergency_inflations",
 )
-MATCHED_CONFIG = ("rate_per_s", "workers", "chaos")
+MATCHED_CONFIG = ("rate_per_s", "workers", "chaos", "duration_s")
 JITTER_FLOOR_NS = 1_000
+QUANTILE_TOLERANCE = 1.5    # max candidate/baseline quantile ratio
+THROUGHPUT_TOLERANCE = 0.7  # min candidate/baseline throughput ratio
+SHED_SLACK = 0.05           # max shed_rate rise over baseline
 
 
 def load(path):
@@ -58,15 +59,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("baseline")
     ap.add_argument("candidate")
-    ap.add_argument("--quantile-tolerance", type=float, default=1.5,
-                    help="max allowed candidate/baseline quantile ratio "
-                         "(default: %(default)s)")
-    ap.add_argument("--throughput-tolerance", type=float, default=0.7,
-                    help="min allowed candidate/baseline throughput ratio "
-                         "(default: %(default)s)")
-    ap.add_argument("--shed-slack", type=float, default=0.05,
-                    help="max allowed shed_rate rise over baseline "
-                         "(default: %(default)s)")
     args = ap.parse_args()
 
     base = load(args.baseline)
@@ -97,29 +89,29 @@ def main():
             continue
         for q in QUANTILE_KEYS:
             b, c = bh[q], ch[q]
-            limit = f"<= {args.quantile_tolerance:g}x"
+            limit = f"<= {QUANTILE_TOLERANCE:g}x"
             rows.append((f"{hist}.{q}", b, c, limit))
-            if c > b * args.quantile_tolerance and c - b > JITTER_FLOOR_NS:
+            if c > b * QUANTILE_TOLERANCE and c - b > JITTER_FLOOR_NS:
                 regressions.append(
                     f"{hist}.{q}: {b} -> {c} ns "
                     f"({c / b if b else float('inf'):.2f}x, limit "
-                    f"{args.quantile_tolerance:g}x)")
+                    f"{QUANTILE_TOLERANCE:g}x)")
 
     for rate in ("requests_per_s", "sessions_per_s"):
         b, c = bslo.get(rate, 0.0), cslo.get(rate, 0.0)
         rows.append((rate, round(b, 1), round(c, 1),
-                     f">= {args.throughput_tolerance:g}x"))
-        if c < b * args.throughput_tolerance:
+                     f">= {THROUGHPUT_TOLERANCE:g}x"))
+        if c < b * THROUGHPUT_TOLERANCE:
             regressions.append(
                 f"{rate}: {b:.1f} -> {c:.1f} "
-                f"(limit {args.throughput_tolerance:g}x baseline)")
+                f"(limit {THROUGHPUT_TOLERANCE:g}x baseline)")
 
     b, c = bslo.get("shed_rate", 0.0), cslo.get("shed_rate", 0.0)
     rows.append(("shed_rate", round(b, 4), round(c, 4),
-                 f"<= base + {args.shed_slack:g}"))
-    if c > b + args.shed_slack:
+                 f"<= base + {SHED_SLACK:g}"))
+    if c > b + SHED_SLACK:
         regressions.append(f"shed_rate: {b:.4f} -> {c:.4f} "
-                           f"(slack {args.shed_slack:g})")
+                           f"(slack {SHED_SLACK:g})")
 
     width = max(len(r[0]) for r in rows)
     print(f"{'metric':<{width}}  {'baseline':>12}  {'candidate':>12}  limit")
