@@ -230,7 +230,8 @@ int main(int Argc, char **Argv) {
   check(!Result.WorstSessions.empty(), "no worst-session spans retained");
 
   if (Opts.Chaos) {
-    check(Result.ChaosPhasesRun == buildChaosSchedule(Config.ChaosSeed).size(),
+    check(Result.ChaosPhasesRun ==
+              buildChaosSchedule(SoakConfig::ChaosSeed).size(),
           "not every chaos phase ran (raise --duration-s)");
     check(Result.Admission.Escalations > 0,
           "chaos ran but the ladder never escalated");
@@ -259,7 +260,7 @@ int main(int Argc, char **Argv) {
                      ", \"heavy_fraction\": " +
                      std::to_string(Config.HeavyFraction) +
                      ", \"hot_objects\": " +
-                     std::to_string(Config.HotObjects) +
+                     std::to_string(SoakConfig::HotObjects) +
                      ", \"zipf_theta\": " +
                      std::to_string(Config.ZipfTheta) +
                      "},\n  \"slo\": ";

@@ -14,8 +14,8 @@
 ///    callback is instantiated once per registered protocol type and
 ///    invoked with the *concrete* protocol reference, so templated
 ///    workloads (workload/MicroBench.h, workload/MacroReplay.h) run with
-///    zero virtual-dispatch noise.  bench_matrix builds its grid this
-///    way.
+///    zero virtual-dispatch noise.  perfbench's replay workload runs
+///    every protocol this way (perfbench --protocol NAME).
 ///
 /// The protocol list lives in one X-macro; adding a protocol means one
 /// new line here plus a ProtocolMaker specialization if it needs a

@@ -108,9 +108,6 @@ struct ContentionOptions {
   /// Thin-word contention: parked rounds between cycle walks.  At the
   /// default 2ms park cap, 512 parks is roughly one second blocked.
   uint64_t WatchdogParkPeriod = 512;
-  /// Fat-lock contention: the bounded wait slice, after which the
-  /// watchdog walks the graph and re-queues.  Nanoseconds; positive.
-  int64_t WatchdogNanos = 1'000'000'000;
 };
 
 /// Thin-lock protocol over a MonitorTable, parameterized by a fence /
@@ -597,6 +594,9 @@ private:
   /// lock()'s deadline: wait without bound, under the watchdog.
   static constexpr std::chrono::steady_clock::time_point Unbounded =
       std::chrono::steady_clock::time_point::max();
+  /// Fat-lock contention in lock(): the bounded wait slice, after which
+  /// the watchdog walks the owner graph and re-queues.
+  static constexpr int64_t WatchdogSliceNanos = 1'000'000'000;
 
   TL_NOINLINE void lockSlow(Object *Obj, const ThreadContext &Thread) {
     // The fast path's CAS lost to another holder (or the word is fat or
@@ -607,7 +607,7 @@ private:
 
   /// The one contended-acquisition loop, behind lockSlow() and
   /// tryLockFor().  A \p Deadline of Unbounded is lock(): wait without
-  /// bound, walking the owner graph (watchdogCheck) every WatchdogNanos
+  /// bound, walking the owner graph (watchdogCheck) every WatchdogSliceNanos
   /// fat-lock slice and every WatchdogParkPeriod parks on a thin word,
   /// and never read the clock per iteration.  Any other deadline is
   /// tryLockFor(): give up at the deadline and classify the failure
@@ -636,7 +636,7 @@ private:
         FatLock *Fat = Monitors.resolve(Value);
         // lock() queues in bounded slices so the watchdog keeps running
         // while it waits on the fat lock.
-        int64_t Slice = Options.WatchdogNanos;
+        int64_t Slice = WatchdogSliceNanos;
         if (Bounded) {
           Slice = std::chrono::duration_cast<std::chrono::nanoseconds>(
                       Deadline - std::chrono::steady_clock::now())

@@ -100,11 +100,11 @@ public:
                      : ThreadRegistry::MaxThreadIndex),
         Protocol(makeProtocol(Config, Stats)),
         Monitors(Protocol->monitorTable()),
-        Workload(Protocol->sync(), TheHeap, Registry, Config.HotObjects,
-                 Config.ZipfTheta, Config.Session),
-        Collector(Registry), Controller(Config.Limits) {
+        Workload(Protocol->sync(), TheHeap, Registry,
+                 SoakConfig::HotObjects, Config.ZipfTheta),
+        Collector(Registry) {
     if (Config.Chaos && failpoint::compiledIn())
-      Chaos = buildChaosSchedule(Config.ChaosSeed);
+      Chaos = buildChaosSchedule(SoakConfig::ChaosSeed);
     ChaosArmed.assign(Chaos.size(), false);
     ChaosDone.assign(Chaos.size(), false);
   }
@@ -174,7 +174,7 @@ void SoakRun::dispatchLocked(const Arrival &A, AdmissionDecision Decision) {
   switch (Decision) {
   case AdmissionDecision::Admit:
   case AdmissionDecision::AdmitDegraded: {
-    if (Queue.size() >= Config.QueueLimit) {
+    if (Queue.size() >= SoakConfig::QueueLimit) {
       // Backpressure of last resort: admission control lagged the
       // arrival process; shed rather than queue without bound.
       ++QueueOverflow;
@@ -302,7 +302,7 @@ void SoakRun::tickerLoop() {
       UniqueLock Guard(TickMu);
       if (!StopTicker)
         TickCv.wait_for(Guard,
-                        std::chrono::nanoseconds(Config.TickNanos));
+                        std::chrono::nanoseconds(SoakConfig::TickNanos));
       if (StopTicker)
         break;
     }
@@ -374,7 +374,7 @@ SoakResult SoakRun::run() {
   // walk back to Normal and deferred sessions get their retry, then
   // shed whatever never got in.
   uint64_t GraceTicks =
-      static_cast<uint64_t>(Config.Limits.RecoveryDwellTicks) *
+      static_cast<uint64_t>(AdmissionLimits().RecoveryDwellTicks) *
           NumDegradationLevels +
       25;
   for (uint64_t I = 0; I < GraceTicks; ++I) {
@@ -387,7 +387,7 @@ SoakResult SoakRun::run() {
     if (Settled)
       break;
     std::this_thread::sleep_for(
-        std::chrono::nanoseconds(Config.TickNanos));
+        std::chrono::nanoseconds(SoakConfig::TickNanos));
   }
   {
     LockGuard Guard(Mu);
@@ -487,7 +487,7 @@ SoakResult SoakRun::finish(uint64_t RunNanos) {
             });
   size_t WorstCount = static_cast<size_t>(
       std::ceil(static_cast<double>(AllSessions.size()) *
-                Config.WorstFraction));
+                SoakConfig::WorstFraction));
   WorstCount = std::min(AllSessions.size(),
                         std::max<size_t>(WorstCount, 1));
   if (!AllSessions.empty()) {

@@ -70,26 +70,27 @@ struct SoakConfig {
   uint64_t Seed = 1;
   /// Fraction of arrivals that are inflation-heavy sessions.
   double HeavyFraction = 0.25;
-  size_t HotObjects = 64;
   double ZipfTheta = 0.8;
   /// 0 = library default capacity.  Chaos runs shrink these so genuine
   /// exhaustion is reachable without 8M allocations.
   uint32_t MonitorCapacity = 0;
   uint16_t RegistryCapacity = 0;
-  /// Bounded arrival queue; overflow sheds (the backpressure of last
-  /// resort when even admission control lags the arrival process).
-  size_t QueueLimit = 512;
-  uint64_t TickNanos = 10'000'000; // 10ms controller cadence.
-  AdmissionLimits Limits;
-  SessionParams Session;
   /// Retire monitors at quiescence so long soaks also exercise the
   /// deflation / stale-fat-word machinery.
   bool DeflateWhenQuiescent = true;
   /// Arm the seeded failpoint schedule (requires a failpoints build).
   bool Chaos = false;
-  uint64_t ChaosSeed = 7;
+
+  // Fixed parts of every soak's shape.
+  static constexpr size_t HotObjects = 64;
+  /// Bounded arrival queue; overflow sheds (the backpressure of last
+  /// resort when even admission control lags the arrival process).
+  static constexpr size_t QueueLimit = 512;
+  /// Admission-controller cadence (10 ms).
+  static constexpr uint64_t TickNanos = 10'000'000;
+  static constexpr uint64_t ChaosSeed = 7;
   /// Worst-tail fraction exported as Chrome "session" spans.
-  double WorstFraction = 0.01;
+  static constexpr double WorstFraction = 0.01;
 };
 
 /// Everything a run produced.
